@@ -48,6 +48,7 @@ from sourceset.conformal import (
     ConformalModel,
     NominalLevels,
     PredictionSet,
+    RankedProbs,
     SetMetrics,
     bruteforce_prediction_set,
     calibrate,

@@ -172,6 +172,8 @@ def evaluate(sets_path, data_path, out_path):
         if idx not in by_index:
             raise click.ClickException(f"prediction for unknown sample {idx}")
         rows.append((idx, np.asarray(rec["nodes"], dtype=np.int64)))
+    if not rows:
+        raise click.ClickException(f"{sets_path}: no predictions")
     beta = header.get("config", {}).get("beta")
     if beta is None:
         raise click.ClickException("prediction header lacks beta")
@@ -229,14 +231,11 @@ def _config_from_file(path: str) -> experiment.ExperimentConfig:
 @click.option("--values", default=None,
               help="Comma-separated axis values (ranges as LO:HI for r0).")
 @click.option("--out-dir", required=True, type=click.Path())
-@click.option("--threads", type=int, default=1, show_default=True)
 @click.option("--timing/--no-timing", default=False, show_default=True,
               help="Include wall-clock runtimes in the per-trial CSV.")
-def sweep(config_path, axis, values, out_dir, threads, timing):
+def sweep(config_path, axis, values, out_dir, timing):
     """Run the repeated-splits experiment, optionally sweeping one axis."""
     cfg = _config_from_file(config_path)
-    from dataclasses import replace as _replace
-    cfg = _replace(cfg, threads=threads)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if axis == "none":

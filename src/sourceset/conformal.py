@@ -19,11 +19,14 @@ Score variants (all computed on the upward closure of the argument set):
     rec: probability mass of the closure divided by the total mass.
     min: negative smallest probability in the closure.
 
-Numerical contract: scores are evaluated through one canonical path (sorted
-order + extended-precision prefix sums) shared by calibration, prediction,
-and the brute-force oracle, so threshold comparisons see identical rounding
-on both sides. Rank arithmetic like ceil((1-alpha)(n+1)) is computed with a
-small nudge so float products that represent exact integers do not overshoot.
+Numerical contract: scores are evaluated through one canonical path,
+`RankedProbs` (sorted order + extended-precision prefix sums), shared by
+set_score, calibration, prediction, the experiment loop and the brute-force
+oracle, so threshold comparisons see identical rounding on both sides.
+`shrink_set` and `upward_closure` stay value-based, as the reference the
+fast path is tested against. Rank arithmetic like ceil((1-alpha)(n+1)) is
+computed with a small nudge so float products that represent exact integers
+do not overshoot.
 """
 
 from __future__ import annotations
@@ -117,6 +120,8 @@ def _check_probs(probs) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("probability vector must be non-empty and 1-dimensional")
+    if not np.isfinite(arr).all():
+        raise ValueError("probability vector must be finite (no NaN or inf)")
     return arr
 
 
@@ -138,35 +143,64 @@ def probability_order(probs: np.ndarray) -> np.ndarray:
     return np.argsort(-probs, kind="stable")
 
 
-def _prefix_sums(sorted_vals: np.ndarray) -> np.ndarray:
-    """prefix[k] = sum of the k largest probabilities.
+class RankedProbs:
+    """One probability vector ranked once, for every score evaluated on it.
 
-    Accumulated in extended precision so prefix evaluation agrees with a
-    direct sum to well under 1e-12 even for thousands of nodes.
+    Holds the canonical order, the probabilities in that order and their
+    prefix sums: prefix[k] is the sum of the k largest probabilities,
+    accumulated in extended precision so prefix evaluation agrees with a
+    direct sum to well under 1e-12 even for thousands of nodes. A closure is
+    a prefix of the order, so every score is a lookup into these arrays.
     """
-    out = np.empty(sorted_vals.size + 1)
-    out[0] = 0.0
-    out[1:] = np.cumsum(sorted_vals, dtype=np.longdouble).astype(np.float64)
-    return out
 
+    __slots__ = ("order", "sorted_vals", "prefix")
 
-def _closure_sizes(sorted_vals: np.ndarray, thresholds) -> np.ndarray:
-    """Number of probabilities >= threshold, for scalar or vector thresholds."""
-    return np.searchsorted(-sorted_vals, -np.asarray(thresholds), side="right")
+    def __init__(self, probs):
+        probs = _check_probs(probs)
+        self.order = probability_order(probs)
+        self.sorted_vals = probs[self.order]
+        self.prefix = np.empty(probs.size + 1)
+        self.prefix[0] = 0.0
+        self.prefix[1:] = np.cumsum(self.sorted_vals,
+                                    dtype=np.longdouble).astype(np.float64)
 
+    def closure_sizes(self, thresholds):
+        """Number of probabilities >= threshold, for scalar or vector thresholds."""
+        return np.searchsorted(-self.sorted_vals, -np.asarray(thresholds), side="right")
 
-def _score_from_prefix(kind: str, prefix: np.ndarray, sorted_vals: np.ndarray,
-                       closure_size):
-    if kind == "pre":
-        return -(prefix[closure_size] / closure_size)
-    if kind == "rec":
-        total = prefix[-1]
-        if total <= 0.0:
-            raise ValueError("'rec' score needs positive total probability mass")
-        return prefix[closure_size] / total
-    if kind == "min":
-        return -sorted_vals[closure_size - 1]
-    raise ValueError(f"unknown score kind {kind!r}")
+    def scores(self, kind: str, closure_size):
+        """Score of the closure(s) holding the `closure_size` largest probabilities."""
+        if kind == "pre":
+            return -(self.prefix[closure_size] / closure_size)
+        if kind == "rec":
+            total = self.prefix[-1]
+            if total <= 0.0:
+                raise ValueError("'rec' score needs positive total probability mass")
+            return self.prefix[closure_size] / total
+        if kind == "min":
+            return -self.sorted_vals[closure_size - 1]
+        raise ValueError(f"unknown score kind {kind!r}")
+
+    def positions(self, members) -> np.ndarray:
+        """Ascending positions of the node set `members` in the canonical order."""
+        members = _check_members(members, self.order.size)
+        inverse = np.empty_like(self.order)
+        inverse[self.order] = np.arange(self.order.size)
+        return np.sort(inverse[members])
+
+    def shrunk_score(self, kind: str, positions: np.ndarray, beta: float) -> float:
+        """Score of shrink_set(probs, members, beta), given positions(members).
+
+        The shrunken set's smallest kept probability is its closure
+        threshold; beta = 0 scores the set itself.
+        """
+        keep = required_hits(positions.size, beta)
+        threshold = self.sorted_vals[positions[keep - 1]]
+        return float(self.scores(kind, int(self.closure_sizes(threshold))))
+
+    def singleton_scores(self, kind: str) -> np.ndarray:
+        """scores[j] is the score of {order[j]}; non-decreasing in j."""
+        return np.asarray(self.scores(kind, self.closure_sizes(self.sorted_vals)))
 
 
 def upward_closure(probs, members) -> np.ndarray:
@@ -198,14 +232,8 @@ def set_score(kind: str, probs, members) -> float:
     scoring its closure give bit-identical results, and enlarging the
     closure can only increase the score.
     """
-    probs = _check_probs(probs)
-    members = _check_members(members, probs.size)
-    threshold = probs[members].min()
-    order = probability_order(probs)
-    sorted_vals = probs[order]
-    prefix = _prefix_sums(sorted_vals)
-    size = int(_closure_sizes(sorted_vals, threshold))
-    return float(_score_from_prefix(kind, prefix, sorted_vals, size))
+    ranked = RankedProbs(probs)
+    return ranked.shrunk_score(kind, ranked.positions(members), 0.0)
 
 
 def singleton_scores(kind: str, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -215,12 +243,8 @@ def singleton_scores(kind: str, probs) -> tuple[np.ndarray, np.ndarray]:
     {order[j]}. Computed once per probability vector in O(N log N); entries
     are bit-identical to set_score(kind, probs, [order[j]]).
     """
-    probs = _check_probs(probs)
-    order = probability_order(probs)
-    sorted_vals = probs[order]
-    prefix = _prefix_sums(sorted_vals)
-    sizes = _closure_sizes(sorted_vals, sorted_vals)
-    return order, np.asarray(_score_from_prefix(kind, prefix, sorted_vals, sizes))
+    ranked = RankedProbs(probs)
+    return ranked.order, ranked.singleton_scores(kind)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +277,10 @@ def calibrate(samples, kind: str, levels: NominalLevels) -> ConformalModel:
     """
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
-    scores = [set_score(kind, probs, shrink_set(probs, sources, levels.beta))
-              for probs, sources in samples]
+    scores = []
+    for probs, sources in samples:
+        ranked = RankedProbs(probs)
+        scores.append(ranked.shrunk_score(kind, ranked.positions(sources), levels.beta))
     if not scores:
         raise ValueError("need at least one calibration sample")
     q_hat = finite_sample_quantile(np.asarray(scores), levels.alpha)
@@ -315,16 +341,16 @@ def crc_calibrate(samples, levels: NominalLevels) -> float:
     if n == 0:
         raise ValueError("need at least one calibration sample")
     needed = np.empty(n, dtype=np.int64)
+    sizes = np.empty(n, dtype=np.int64)
     vals_parts = []
-    owner_parts = []
     for i, (probs, sources) in enumerate(samples):
         probs = _check_probs(probs)
         y = _check_members(sources, probs.size)
+        sizes[i] = y.size
         needed[i] = required_hits(y.size, levels.beta)
         vals_parts.append(1.0 - probs[y])
-        owner_parts.append(np.full(y.size, i, dtype=np.int64))
     flat_vals = np.concatenate(vals_parts)
-    owners = np.concatenate(owner_parts)
+    owners = np.repeat(np.arange(n, dtype=np.int64), sizes)
     candidates = np.unique(flat_vals)
     bound = levels.alpha * (n + 1) + _CEIL_NUDGE
     for lam in candidates:
@@ -360,14 +386,11 @@ def bruteforce_prediction_set(probs, q_hat: float, kind: str) -> np.ndarray:
         raise ValueError(f"brute force refuses N > {_BRUTEFORCE_MAX_NODES} nodes")
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
-    order = probability_order(probs)
-    sorted_vals = probs[order]
-    prefix = _prefix_sums(sorted_vals)
+    ranked = RankedProbs(probs)
     masks = np.arange(1, 1 << n, dtype=np.uint32)
     member_bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
     thresholds = np.min(np.where(member_bits, probs[None, :], np.inf), axis=1)
-    sizes = _closure_sizes(sorted_vals, thresholds)
-    scores = np.asarray(_score_from_prefix(kind, prefix, sorted_vals, sizes))
+    scores = np.asarray(ranked.scores(kind, ranked.closure_sizes(thresholds)))
     included = [bool(np.min(scores[member_bits[:, v]]) <= q_hat) for v in range(n)]
     return np.flatnonzero(included)
 

@@ -34,7 +34,7 @@ def validate_prob_vector(probs: np.ndarray, n_nodes: int | None = None) -> np.nd
         raise ValueError(f"expected {n_nodes} entries, got {arr.size}")
     if arr.size == 0:
         raise ValueError("probability vector is empty")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):  # also rejects NaN
         raise ValueError("probabilities must lie in [0, 1]")
     if not np.any(arr > 0.0):
         raise ValueError("probability vector needs at least one positive entry")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,7 +50,6 @@ class ExperimentConfig:
     n_trials: int = 50
     seed: int = 0
     graph_seed: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         if self.n_cal < 1 or self.n_test < 1 or self.n_trials < 1:
@@ -140,76 +138,35 @@ class TrialReport:
         raise KeyError(f"no cell ({score}, {alpha}, {beta})")
 
 
-@dataclass
-class _SampleView:
-    """Precomputed per-sample arrays shared by every (score, alpha, beta) cell."""
-
-    order: np.ndarray
-    sorted_vals: np.ndarray
-    prefix: np.ndarray
-    sources: np.ndarray
-    source_positions: np.ndarray  # positions of the sources in `order`
-
-
-def _view_of(probs: np.ndarray, sources: np.ndarray) -> _SampleView:
-    order = conformal.probability_order(probs)
-    sorted_vals = probs[order]
-    prefix = conformal._prefix_sums(sorted_vals)
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    return _SampleView(order=order, sorted_vals=sorted_vals, prefix=prefix,
-                       sources=sources, source_positions=inverse[sources])
-
-
-def _calibration_score(view: _SampleView, kind: str, beta: float) -> float:
-    """Score of the shrunken source set, via the shared canonical arrays.
-
-    Bit-identical to
-    set_score(kind, probs, shrink_set(probs, sources, beta)): the shrunken
-    set's smallest kept probability is its closure threshold.
-    """
-    keep = required_hits(view.sources.size, beta)
-    kept_positions = np.sort(view.source_positions)[:keep]
-    threshold = view.sorted_vals[kept_positions[-1]]
-    size = int(conformal._closure_sizes(view.sorted_vals, threshold))
-    return float(conformal._score_from_prefix(kind, view.prefix, view.sorted_vals, size))
-
-
-def _singleton_score_array(view: _SampleView, kind: str) -> np.ndarray:
-    sizes = conformal._closure_sizes(view.sorted_vals, view.sorted_vals)
-    return np.asarray(conformal._score_from_prefix(kind, view.prefix,
-                                                   view.sorted_vals, sizes))
-
-
 def _run_trial(graph: Graph, cfg: ExperimentConfig, estimator, lambda1: float | None,
                trial: int) -> dict[tuple[str, float, float], tuple[float, float]]:
     pool_n = cfg.n_cal + cfg.n_test
     samples = sample_dataset(graph, cfg.generative, pool_n, cfg.seed,
                              lambda1=lambda1, seed_path=(_STREAM_DATA, trial))
-    views = []
+    # each probability vector is ranked once and shared by every cell
+    ranked = []
     for i, sample in enumerate(samples):
         probs = estimator(sample, substream(cfg.seed, _STREAM_EST, trial, i))
-        views.append(_view_of(np.asarray(probs, dtype=np.float64), sample.sources))
+        r = conformal.RankedProbs(probs)
+        ranked.append((r, r.positions(sample.sources)))
     perm = substream(cfg.seed, _STREAM_SPLIT, trial).permutation(pool_n)
-    cal_views = [views[i] for i in perm[:cfg.n_cal]]
-    test_views = [views[i] for i in perm[cfg.n_cal:]]
+    cal = [ranked[i] for i in perm[:cfg.n_cal]]
+    test = [ranked[i] for i in perm[cfg.n_cal:]]
 
     results: dict[tuple[str, float, float], tuple[float, float]] = {}
     for kind in cfg.score_kinds:
-        test_scores = [_singleton_score_array(v, kind) for v in test_views]
+        test_scores = [r.singleton_scores(kind) for r, _ in test]
         for beta in cfg.betas:
-            cal_scores = np.asarray([_calibration_score(v, kind, beta)
-                                     for v in cal_views])
-            needed = np.asarray([required_hits(v.sources.size, beta)
-                                 for v in test_views])
+            cal_scores = np.asarray([r.shrunk_score(kind, pos, beta) for r, pos in cal])
+            needed = [required_hits(pos.size, beta) for _, pos in test]
             for alpha in cfg.alphas:
                 q_hat = conformal.finite_sample_quantile(cal_scores, alpha)
                 included = 0
                 total_size = 0
-                for v, scores, need in zip(test_views, test_scores, needed):
+                for (_, pos), scores, need in zip(test, test_scores, needed):
                     passing = scores <= q_hat
                     total_size += int(np.count_nonzero(passing))
-                    hits = int(np.count_nonzero(passing[v.source_positions]))
+                    hits = int(np.count_nonzero(passing[pos]))
                     included += int(hits >= need)
                 results[(kind, alpha, beta)] = (
                     included / cfg.n_test, total_size / cfg.n_test)
@@ -220,7 +177,7 @@ def run_experiment(cfg: ExperimentConfig, graph: Graph | None = None) -> TrialRe
     """Run all trials and aggregate per-cell statistics.
 
     Deterministic for a fixed config: per-trial seeds derive from the master
-    seed, so serial and threaded runs produce identical reports.
+    seed, so reruns produce identical reports.
     """
     started = time.perf_counter()
     if graph is None:
@@ -229,28 +186,22 @@ def run_experiment(cfg: ExperimentConfig, graph: Graph | None = None) -> TrialRe
     lambda1 = spectral_radius(graph) if needs_lambda1 else None
     estimator = build_estimator(cfg.estimator, graph)
 
-    def one(trial: int):
+    outcomes = []
+    runtimes = []
+    for trial in range(cfg.n_trials):
         t0 = time.perf_counter()
-        cells = _run_trial(graph, cfg, estimator, lambda1, trial)
-        return trial, cells, time.perf_counter() - t0
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            outcomes = list(pool.map(one, range(cfg.n_trials)))
-    else:
-        outcomes = [one(t) for t in range(cfg.n_trials)]
-    outcomes.sort(key=lambda item: item[0])
+        outcomes.append(_run_trial(graph, cfg, estimator, lambda1, trial))
+        runtimes.append(time.perf_counter() - t0)
 
     cells = []
     for kind in cfg.score_kinds:
         for alpha in cfg.alphas:
             for beta in cfg.betas:
-                inc = np.asarray([o[1][(kind, alpha, beta)][0] for o in outcomes])
-                size = np.asarray([o[1][(kind, alpha, beta)][1] for o in outcomes])
+                inc = np.asarray([o[(kind, alpha, beta)][0] for o in outcomes])
+                size = np.asarray([o[(kind, alpha, beta)][1] for o in outcomes])
                 cells.append(CellStats(score=kind, alpha=alpha, beta=beta,
                                        inclusion_rates=inc, set_sizes=size))
-    return TrialReport(config=cfg, cells=cells,
-                       trial_runtimes=[o[2] for o in outcomes],
+    return TrialReport(config=cfg, cells=cells, trial_runtimes=runtimes,
                        total_runtime=time.perf_counter() - started)
 
 
@@ -261,17 +212,32 @@ def run_experiment(cfg: ExperimentConfig, graph: Graph | None = None) -> TrialRe
 
 def sweep(cfg: ExperimentConfig, axis: str, values) -> list[tuple[object, TrialReport]]:
     """One report per axis value; all reports share the master seed, so sweeps
-    over nominal levels are paired on identical datasets."""
+    over nominal levels are paired on identical datasets.
+
+    An alpha or beta sweep runs the experiment once over all its values and
+    splits the cells by value. A cell depends only on its own (score, alpha,
+    beta), so each report equals a run with that value alone, except that
+    its runtimes are those of the shared run.
+    """
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one axis value")
+    if axis in ("alpha", "beta"):
+        field_name = f"{axis}s"
+        unique = tuple(dict.fromkeys(float(v) for v in values))
+        shared = run_experiment(replace(cfg, **{field_name: unique}))
+        reports = []
+        for value in values:
+            level = float(value)
+            cells = [c for c in shared.cells if getattr(c, axis) == level]
+            reports.append((value, TrialReport(
+                config=replace(cfg, **{field_name: (level,)}), cells=cells,
+                trial_runtimes=shared.trial_runtimes,
+                total_runtime=shared.total_runtime)))
+        return reports
     reports = []
     for value in values:
-        if axis == "alpha":
-            sub = replace(cfg, alphas=(float(value),))
-        elif axis == "beta":
-            sub = replace(cfg, betas=(float(value),))
-        elif axis == "r0":
+        if axis == "r0":
             rng = tuple(value) if isinstance(value, (tuple, list)) \
                 else (float(value), float(value))
             sub = replace(cfg, generative=replace(cfg.generative, r0=rng,

@@ -10,7 +10,7 @@ from sourceset.conformal import predict as conformal_predict
 from sourceset.diffusion import load_dataset
 from sourceset.estimators import build_estimator
 from sourceset.graph import graph_from_spec
-from sourceset.util import read_jsonl, substream
+from sourceset.util import read_jsonl, substream, write_jsonl_header
 
 
 def run(*argv):
@@ -44,6 +44,29 @@ class TestExitCodes:
                    "--r0", "3", "--sources", "1", "--samples", "1",
                    "--seed", "1", "--out", str(tmp_path / "d.jsonl"))
         assert code == 1
+
+    def test_non_finite_probability_file_is_validation_error(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        probs = tmp_path / "probs.txt"
+        model = tmp_path / "m.json"
+        assert run(*simulate_args(data, samples=3)) == 0
+        row = " ".join(["0.5"] * 19 + ["nan"])
+        probs.write_text("# prob-vectors n_nodes=20\n"
+                         + "".join(f"{i} {row}\n" for i in range(3)))
+        assert run("calibrate", "--data", str(data), "--score", "min",
+                   "--alpha", "0.5", "--estimator", f"file:{probs}",
+                   "--out", str(model)) == 1
+        assert not model.exists()
+
+    def test_evaluate_without_predictions_is_validation_error(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        sets = tmp_path / "sets.jsonl"
+        assert run(*simulate_args(data, samples=3)) == 0
+        with open(sets, "w", encoding="utf-8") as fh:
+            write_jsonl_header(fh, "predictions", 0, {"beta": 0.3})
+        assert run("evaluate", "--sets", str(sets), "--data", str(data),
+                   "--out", str(tmp_path / "eval.csv")) == 1
+        assert "no predictions" in capsys.readouterr().err
 
 
 class TestSimulate:

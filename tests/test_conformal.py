@@ -14,6 +14,7 @@ from sourceset.conformal import (
     SCORE_KINDS,
     ConformalModel,
     NominalLevels,
+    RankedProbs,
     bruteforce_prediction_set,
     calibrate,
     crc_calibrate,
@@ -309,6 +310,36 @@ class TestCalibratePredict:
                 for j in range(n):
                     assert scores[j] == set_score(kind, probs, [order[j]])
 
+    def test_calibration_scores_match_reference_bitwise_on_ties(self):
+        """calibrate's per-sample scores are set_score(shrink_set(...)) exactly.
+
+        Every rank of the calibration scores is read back through q_hat, with
+        alpha = 1 - k/(n+1) selecting rank k.
+        """
+        rng = np.random.default_rng(16)
+        samples = []
+        for _ in range(30):
+            n = int(rng.integers(1, 25))
+            probs = np.round(rng.random(n), int(rng.integers(1, 3)))
+            probs[probs == 0] = 0.05
+            samples.append((probs, random_set(rng, n)))
+        n_cal = len(samples)
+        for kind in SCORE_KINDS:
+            for beta in (0.0, 0.1, 0.3, 0.5, 0.7):
+                reference = np.asarray([set_score(kind, p, shrink_set(p, y, beta))
+                                        for p, y in samples])
+                fast = []
+                for p, y in samples:
+                    ranked = RankedProbs(p)
+                    fast.append(ranked.shrunk_score(kind, ranked.positions(y), beta))
+                assert np.array_equal(np.asarray(fast).view(np.uint64),
+                                      reference.view(np.uint64))
+                ranks = np.sort(reference)
+                for k in range(1, n_cal + 1):
+                    levels = NominalLevels(alpha=1 - k / (n_cal + 1), beta=beta)
+                    q_hat = calibrate(samples, kind, levels).q_hat
+                    assert np.float64(q_hat).view(np.uint64) == ranks[k - 1].view(np.uint64)
+
     def test_set_size_monotone_in_alpha(self):
         rng = np.random.default_rng(14)
         samples = self.make_samples(rng, 20, 80)
@@ -336,6 +367,42 @@ class TestCalibratePredict:
                 assert metrics.included
                 checked += 1
         assert checked > 20
+
+
+class TestRankedProbs:
+    def test_worked_example_with_ties(self):
+        ranked = RankedProbs([0.2, 0.5, 0.5, 0.1])
+        assert ranked.order.tolist() == [1, 2, 0, 3]
+        assert ranked.sorted_vals.tolist() == [0.5, 0.5, 0.2, 0.1]
+        assert ranked.closure_sizes(0.5) == 2
+        assert ranked.closure_sizes([0.2, 0.1]).tolist() == [3, 4]
+        positions = ranked.positions([3, 2, 3])
+        assert positions.tolist() == [1, 3]
+        # beta = 0.5 keeps node 2, whose closure is the tied pair {1, 2}
+        assert ranked.shrunk_score("pre", positions, 0.5) == -0.5
+        assert ranked.shrunk_score("min", positions, 0.0) == -0.1
+        assert ranked.singleton_scores("min").tolist() == [-0.5, -0.5, -0.2, -0.1]
+
+
+class TestNonFiniteInput:
+    """NaN and +-inf are rejected rather than ranked: NaN sorts last and fails
+    every comparison, which silently changed thresholds and dropped nodes."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_by_every_entry_point(self, bad):
+        probs = np.array([0.5, bad, 0.2])
+        levels = NominalLevels(alpha=0.5)
+        model = ConformalModel("min", levels, -0.3, 1)
+        with pytest.raises(ValueError, match="finite"):
+            RankedProbs(probs)
+        with pytest.raises(ValueError, match="finite"):
+            calibrate([(probs, [0])], "min", levels)
+        with pytest.raises(ValueError, match="finite"):
+            predict(model, probs)
+        with pytest.raises(ValueError, match="finite"):
+            set_score("min", probs, [0])
+        with pytest.raises(ValueError, match="finite"):
+            crc_calibrate([(probs, [0])], levels)
 
 
 class TestEvaluateSet:

@@ -248,3 +248,5 @@ class TestBuildEstimator:
             validate_prob_vector(np.array([0.0, 0.0]))
         with pytest.raises(ValueError):
             validate_prob_vector(np.array([0.5, 0.5]), 3)
+        with pytest.raises(ValueError):
+            validate_prob_vector(np.array([0.5, np.nan]))

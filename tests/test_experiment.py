@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sourceset import experiment
 from sourceset.conformal import NominalLevels, calibrate, evaluate_set, predict
 from sourceset.diffusion import GenerativeConfig, sample_dataset
 from sourceset.estimators import build_estimator
@@ -89,14 +90,6 @@ class TestRunExperiment:
             assert math.isnan(cell.inclusion_stderr)
             assert math.isnan(cell.size_stderr)
 
-    def test_threaded_run_matches_serial(self):
-        cfg = small_config(n_trials=6)
-        serial = run_experiment(cfg)
-        threaded = run_experiment(replace(cfg, threads=4))
-        for a, b in zip(serial.cells, threaded.cells):
-            assert np.array_equal(a.inclusion_rates, b.inclusion_rates)
-            assert np.array_equal(a.set_sizes, b.set_sizes)
-
     def test_matches_reference_pipeline_per_trial(self):
         """The vectorized trial loop must agree with the public per-sample API."""
         cfg = small_config(n_trials=1, alphas=(0.15,), betas=(0.4,),
@@ -157,6 +150,30 @@ class TestSweep:
         assert [v for v, _ in reports] == [0.1, 0.5, 0.7]
         for value, report in reports:
             assert {c.beta for c in report.cells} == {value}
+
+    @pytest.mark.parametrize("axis", ["alpha", "beta"])
+    def test_level_sweep_reports_byte_identical_to_per_value_runs(self, axis, tmp_path,
+                                                                   monkeypatch):
+        """A level sweep runs once, yet each report is the per-value run's."""
+        cfg = small_config(n_trials=3)
+        values = [0.1, 0.5, 0.3, 0.5] if axis == "beta" else [0.3, 0.1, 0.3]
+        runs = []
+
+        def counted(run_cfg):
+            runs.append(run_cfg)
+            return run_experiment(run_cfg)
+
+        monkeypatch.setattr(experiment, "run_experiment", counted)
+        reports = sweep(cfg, axis, values)
+        assert len(runs) == 1
+        assert [v for v, _ in reports] == values
+        for k, (value, report) in enumerate(reports):
+            base = run_experiment(replace(cfg, **{f"{axis}s": (value,)}))
+            write_reports(report, tmp_path / f"t{k}.csv", tmp_path / f"s{k}.csv")
+            write_reports(base, tmp_path / f"t{k}_base.csv", tmp_path / f"s{k}_base.csv")
+            for name in (f"t{k}", f"s{k}"):
+                assert ((tmp_path / f"{name}.csv").read_bytes()
+                        == (tmp_path / f"{name}_base.csv").read_bytes())
 
     def test_r0_range_sweep(self):
         cfg = small_config(n_trials=2, graph_spec="complete:40")
