@@ -120,8 +120,9 @@ def _check_probs(probs) -> np.ndarray:
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("probability vector must be non-empty and 1-dimensional")
-    if not np.isfinite(arr).all():
-        raise ValueError("probability vector must be finite (no NaN or inf)")
+    # NaN fails both comparisons and +-inf fails one, so this also rejects them
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise ValueError("probability vector must be finite and within [0, 1]")
     return arr
 
 
@@ -320,11 +321,17 @@ def evaluate_set(nodes, true_sources, beta: float) -> SetMetrics:
 # ---------------------------------------------------------------------------
 #
 # The family C_lambda = {v : prob(v) >= 1 - lambda} controls recall directly:
-# lambda_hat is the smallest threshold whose empirical violation bound meets
-# alpha. Membership is evaluated in the rearranged form 1 - prob <= lambda so
-# that candidate thresholds (which are themselves of the form 1 - prob) make
-# their generating sample satisfied exactly, keeping the scan consistent with
-# the quantile path down to the last bit.
+# lambda_hat is the smallest threshold whose empirical violation bound
+# (violations + 1) / (n + 1) <= alpha holds (Angelopoulos et al., Conformal
+# Risk Control). Membership is evaluated in the rearranged form
+# 1 - prob <= lambda, so sample i is satisfied exactly when
+# t_i <= lambda, where t_i is the required_hits-th smallest 1 - prob over its
+# sources. With m = floor(alpha (n + 1)) - 1 violations allowed, lambda_hat
+# is the (n - m)-th smallest t_i: an empirical quantile, read off by rank
+# instead of scanning every candidate threshold. Each t_i is itself a
+# 1 - prob value, so the result is the float a scan over all 1 - prob
+# values would return, and it agrees with the min-score quantile path down
+# to the last bit.
 
 
 def crc_calibrate(samples, levels: NominalLevels) -> float:
@@ -332,33 +339,32 @@ def crc_calibrate(samples, levels: NominalLevels) -> float:
 
     violations(lambda) counts calibration samples whose set
     {v : 1 - prob(v) <= lambda} covers fewer than required_hits of the true
-    sources. Candidates are scanned in increasing order; returns +inf when no
-    candidate satisfies the bound (the infimum of an empty set), in which
-    case the prediction set is the full node set.
+    sources. A sample is satisfied exactly when lambda reaches its t_i, the
+    required_hits-th smallest 1 - prob over its sources, so with m
+    violations allowed lambda_hat is the (n - m)-th smallest t_i. Returns
+    +inf when even zero violations break the bound (the infimum of an empty
+    set; the prediction set is then the full node set), and the smallest
+    1 - prob over all sources when every sample may be violated. Costs one
+    partition per sample plus one over the n values of t, so O(total source
+    entries + n).
     """
     samples = list(samples)
     n = len(samples)
     if n == 0:
         raise ValueError("need at least one calibration sample")
-    needed = np.empty(n, dtype=np.int64)
-    sizes = np.empty(n, dtype=np.int64)
-    vals_parts = []
+    allowed = math.floor(levels.alpha * (n + 1) + _CEIL_NUDGE) - 1
+    t = np.empty(n)
     for i, (probs, sources) in enumerate(samples):
         probs = _check_probs(probs)
         y = _check_members(sources, probs.size)
-        sizes[i] = y.size
-        needed[i] = required_hits(y.size, levels.beta)
-        vals_parts.append(1.0 - probs[y])
-    flat_vals = np.concatenate(vals_parts)
-    owners = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    candidates = np.unique(flat_vals)
-    bound = levels.alpha * (n + 1) + _CEIL_NUDGE
-    for lam in candidates:
-        hits = np.bincount(owners[flat_vals <= lam], minlength=n)
-        violations = int(np.count_nonzero(hits < needed))
-        if violations + 1 <= bound:
-            return float(lam)
-    return math.inf
+        # when every sample may be violated, the answer is the smallest
+        # 1 - prob of any sample, so each sample contributes its smallest
+        k = 1 if allowed >= n else required_hits(y.size, levels.beta)
+        t[i] = np.partition(1.0 - probs[y], k - 1)[k - 1]
+    if allowed < 0:
+        return math.inf
+    rank = max(n - allowed, 1)
+    return float(np.partition(t, rank - 1)[rank - 1])
 
 
 def crc_predict(lambda_hat: float, probs) -> np.ndarray:

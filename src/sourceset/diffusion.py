@@ -219,6 +219,11 @@ def _draw(rng: np.random.Generator, spec) -> float:
     return float(spec)
 
 
+def _upper(spec) -> float:
+    """Largest value `_draw` can return for a range or fixed-value spec."""
+    return float(max(spec)) if isinstance(spec, (tuple, list)) else float(spec)
+
+
 def _draw_int(rng: np.random.Generator, spec) -> int:
     if isinstance(spec, (tuple, list)):
         lo, hi = int(spec[0]), int(spec[1])
@@ -244,7 +249,8 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
 
     Sample i uses the RNG substream (seed, *seed_path, i), so datasets are
     byte-identical on re-run and independent of execution order. Source sets
-    are drawn uniformly without replacement from all nodes.
+    are drawn uniformly without replacement from all nodes. An r0 range whose
+    upper ends derive sigma_inf > 1 is rejected before the first sample.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -255,6 +261,14 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
     needs_lambda1 = gen.r0 is not None or gen.t_first == "auto"
     if needs_lambda1 and lambda1 is None:
         lambda1 = spectral_radius(graph)
+    if gen.r0 is not None:
+        # sigma_inf = r0 * sigma_rec / lambda1 is largest at both upper ends
+        worst = _upper(gen.r0) * _upper(gen.sigma_rec) / lambda1
+        if worst > 1.0:
+            raise ValueError(
+                f"r0 range can derive sigma_inf = {worst:.6g} > 1 "
+                f"(r0 up to {_upper(gen.r0)}, sigma_rec up to "
+                f"{_upper(gen.sigma_rec)}, lambda1={lambda1:.6g})")
     samples = []
     for i in range(n_samples):
         rng = substream(seed, *seed_path, i)

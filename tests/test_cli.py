@@ -45,6 +45,14 @@ class TestExitCodes:
                    "--seed", "1", "--out", str(tmp_path / "d.jsonl"))
         assert code == 1
 
+    def test_r0_range_too_fast_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        assert run("simulate", "--graph", "ba:200,3", "--r0", "1,40",
+                   "--sigma-rec", "0.1,0.4", "--sources", "1", "--samples", "50",
+                   "--seed", "1", "--out", str(out)) == 1
+        assert "sigma_inf = 1.4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_probability_file_is_validation_error(self, tmp_path):
         data = tmp_path / "d.jsonl"
         probs = tmp_path / "probs.txt"

@@ -385,10 +385,12 @@ class TestRankedProbs:
 
 
 class TestNonFiniteInput:
-    """NaN and +-inf are rejected rather than ranked: NaN sorts last and fails
-    every comparison, which silently changed thresholds and dropped nodes."""
+    """NaN, +-inf and values outside [0, 1] are rejected rather than ranked:
+    NaN sorts last and fails every comparison, which silently changed
+    thresholds and dropped nodes, and a value above 1 gave a negative
+    'min' threshold and a negative risk-control lambda."""
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.3, 1.3])
     def test_rejected_by_every_entry_point(self, bad):
         probs = np.array([0.5, bad, 0.2])
         levels = NominalLevels(alpha=0.5)
@@ -464,10 +466,53 @@ class TestBruteforceEquivalence:
                     assert best == pytest.approx(target, abs=1e-12)
 
 
+def reference_crc_calibrate(samples, levels):
+    """Candidate scan: every distinct 1 - prob over the sources, in increasing
+    order, with a full violation count at each one; the first candidate that
+    meets (violations + 1) <= alpha (n + 1) is lambda_hat."""
+    n = len(samples)
+    needed = np.array([required_hits(len(y), levels.beta) for _, y in samples])
+    flat = np.concatenate([1.0 - p[y] for p, y in samples])
+    owners = np.repeat(np.arange(n), [len(y) for _, y in samples])
+    bound = levels.alpha * (n + 1) + 1e-9  # the nudge of stable_ceil
+    for lam in np.unique(flat):
+        hits = np.bincount(owners[flat <= lam], minlength=n)
+        if np.count_nonzero(hits < needed) + 1 <= bound:
+            return float(lam)
+    return math.inf
+
+
 class TestCrcEquivalence:
     def make_samples(self, rng, n_nodes, n_samples):
         return [(rng.random(n_nodes), random_set(rng, n_nodes))
                 for _ in range(n_samples)]
+
+    def test_order_statistic_rule_matches_candidate_scan(self):
+        alphas = (0.01, 0.05, 0.1, 0.3, 0.5, 0.9, 1.0 - 1e-10)
+        betas = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9)
+        branches = {"inf": 0, "all_violated": 0, "n_cal_1": 0, "rank": 0}
+        for t in range(2400):
+            rng = substream(41, t)
+            n_nodes = int(rng.integers(1, 13))
+            n_cal = int(rng.choice([1, 2, 3, 5, 9, 20, 60]))
+            decimals = int(rng.integers(0, 3))  # 0 and 1 decimals: tie-heavy
+            levels = NominalLevels(alpha=float(rng.choice(alphas)),
+                                   beta=float(rng.choice(betas)))
+            samples = [(np.round(rng.random(n_nodes), decimals) if decimals < 2
+                        else rng.random(n_nodes), random_set(rng, n_nodes))
+                       for _ in range(n_cal)]
+            lam = crc_calibrate(samples, levels)
+            assert lam == reference_crc_calibrate(samples, levels), (t, levels)
+            allowed = math.floor(levels.alpha * (n_cal + 1) + 1e-9) - 1
+            if allowed < 0:
+                assert lam == math.inf
+                branches["inf"] += 1
+            elif allowed >= n_cal:
+                branches["all_violated"] += 1
+            else:
+                branches["rank"] += 1
+            branches["n_cal_1"] += n_cal == 1
+        assert min(branches.values()) >= 50, branches
 
     def test_threshold_identity_and_set_equality(self):
         report = run_equivalence_checks(n_nodes=12, trials=150, seed=19)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sourceset import diffusion
 from sourceset.diffusion import (
     INFECTED,
     RECOVERED,
@@ -16,7 +17,12 @@ from sourceset.diffusion import (
     save_dataset,
     simulate,
 )
-from sourceset.graph import build_graph, complete_graph, barabasi_albert_graph
+from sourceset.graph import (
+    barabasi_albert_graph,
+    build_graph,
+    complete_graph,
+    spectral_radius,
+)
 
 
 def star_forest(n_stars, leaves):
@@ -213,6 +219,20 @@ class TestSampleDataset:
         g = barabasi_albert_graph(40, 2, seed=1)
         with pytest.raises(ValueError, match="sigma_inf"):
             sample_dataset(g, self.gen(r0=(25.0, 25.0)), 10, seed=3)
+
+    def test_r0_range_too_fast_rejected_before_first_sample(self, monkeypatch):
+        # lambda1 ~ 10.74, so r0 = 40 at sigma_rec = 0.4 derives sigma_inf ~ 1.49
+        g = barabasi_albert_graph(200, 3, seed=0)
+        lambda1 = spectral_radius(g)
+
+        def no_draws(*args):
+            raise AssertionError("a sample was drawn before the range check")
+
+        monkeypatch.setattr(diffusion, "substream", no_draws)
+        gen = self.gen(r0=(1.0, 40.0), sigma_rec=(0.1, 0.4))
+        with pytest.raises(ValueError, match="sigma_inf") as info:
+            sample_dataset(g, gen, 10, seed=3, lambda1=lambda1)
+        assert f"{40.0 * 0.4 / lambda1:.6g}" in str(info.value)
 
     def test_si_mode_with_fixed_sigma_inf(self):
         g = barabasi_albert_graph(40, 2, seed=1)
