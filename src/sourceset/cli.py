@@ -83,6 +83,15 @@ def _require_file(path: str) -> None:
         raise click.ClickException(f"missing file: {path}")
 
 
+def _check_node_counts(samples, graph, graph_spec: str, data_path: str) -> None:
+    """Every sample must cover exactly the nodes of the graph it is scored on."""
+    for s in samples:
+        if s.x.n_nodes != graph.n_nodes:
+            raise click.ClickException(
+                f"{data_path}: sample {s.index} has {s.x.n_nodes} nodes but the "
+                f"graph {graph_spec} has {graph.n_nodes}")
+
+
 def _dataset_graph(header: dict):
     config = header.get("config", {})
     spec = config.get("graph_spec")
@@ -108,6 +117,7 @@ def calibrate(data_path, score, alpha, beta, estimator_spec, seed, out_path):
     if not samples:
         raise click.ClickException(f"{data_path}: no samples")
     graph, graph_config = _dataset_graph(header)
+    _check_node_counts(samples, graph, graph_config["graph_spec"], data_path)
     estimator = build_estimator(estimator_spec, graph)
     pairs = [(estimator(s, substream(seed, s.index)), s.sources) for s in samples]
     levels = NominalLevels(alpha=alpha, beta=beta)
@@ -134,6 +144,7 @@ def predict(model_path, data_path, out_path):
     if spec is None:
         raise click.ClickException("model header lacks graph_spec")
     graph = graph_from_spec(spec, seed=model_config.get("graph_seed", 0))
+    _check_node_counts(samples, graph, spec, data_path)
     estimator = build_estimator(model_config.get("estimator", "heuristic"), graph)
     est_seed = model_config.get("estimator_seed", 0)
     config = {"model": str(model_path), "data": str(data_path),

@@ -1,11 +1,27 @@
 """Discrete-time SIR/SI simulation and labeled dataset generation.
 
-The simulator is an independent-cascade process: at each step every infected
-node attempts to infect each susceptible neighbor with probability sigma_inf,
-so a susceptible node with k infected neighbors turns infected with
-probability 1 - (1 - sigma_inf)^k. Updates are synchronous: infections and
-recoveries at step t both read the statuses at t - 1, and a node infected at
-step t cannot recover at step t. Setting sigma_rec = 0 yields the SI model.
+The simulator is an independent-cascade process in product form: at each
+step a susceptible node with k infected neighbors turns infected iff
+u < 1 - (1 - sigma_inf)^k, and an infected node recovers iff u < sigma_rec,
+where u is that node's own uniform for that step. A node is never both
+susceptible and infected, so one uniform per node and step drives both
+rules. Updates are synchronous: infections and recoveries at step t both
+read the statuses at t - 1, and a node infected at step t cannot recover at
+step t. Setting sigma_rec = 0 yields the SI model.
+
+`simulate_batch` advances many independent cascades (rows) together. Row r
+reads only its own uniforms, uniforms[r, t - 1, v] for node v at step t, so
+its trajectory does not depend on the batch it runs in. Infected-neighbor
+counts are kept per row and updated each step by one CSR gather over the
+nodes whose status just changed; no N x N array is built.
+
+Draw order. `simulate(graph, params, sources, rng)` draws one block
+rng.random((horizon, n_nodes)) and nothing else. `sample_dataset` gives
+sample i the substream (seed, *seed_path, i) and draws from it, in order:
+the source count, sigma_rec, r0 (or sigma_inf), the source set, then the
+uniform block of shape (t_last, n_nodes), t_last being the last observed
+instant. A sample is therefore the same for every chunk size, and equals
+`simulate` run on its substream right after the source set is drawn.
 """
 
 from __future__ import annotations
@@ -20,7 +36,14 @@ from sourceset.util import as_generator, substream, write_jsonl_header, read_jso
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 STATUS_ALPHABET = "SIR"
-_STATUS_CODE = {c: i for i, c in enumerate(STATUS_ALPHABET)}
+_ALPHABET_BYTES = np.frombuffer(STATUS_ALPHABET.encode("ascii"), dtype=np.uint8)
+_BYTE_STATUS = np.full(256, -1, dtype=np.int8)  # -1: not a status character
+_BYTE_STATUS[_ALPHABET_BYTES] = np.arange(len(STATUS_ALPHABET))
+
+# sample_dataset and the Monte Carlo estimator simulate in chunks whose
+# pre-drawn uniforms take about this many bytes (at least one row per chunk).
+# The buffer adds to peak memory one for one; larger chunks gained little.
+SIM_CHUNK_BYTES = 1 << 20
 
 # Substream layout used by sample_dataset: sample i draws from
 # substream(seed, *seed_path, i). Experiment code reserves path prefixes.
@@ -125,33 +148,80 @@ def _check_sources(sources, n_nodes: int) -> np.ndarray:
     return arr
 
 
-def simulate(graph: Graph, params: SirParams, sources, seed) -> Trajectory:
-    """Run one SIR cascade from the given source set.
+def simulate_batch(graph: Graph, sources: np.ndarray, sigma_inf, sigma_rec,
+                   uniforms: np.ndarray) -> np.ndarray:
+    """Run independent SIR cascades together, one per row.
 
-    Deterministic for a fixed seed: infection attempts are drawn in
-    (infected node asc, neighbor asc) order, then recovery draws in
-    infected-node order.
+    sources: (rows, n_nodes) bool, True where a row's cascade starts
+    infected. sigma_inf, sigma_rec: per-row rates, shape (rows,), or one
+    rate for every row.
+    uniforms: (rows, horizon, n_nodes) values in [0, 1]; a row padded with
+    1.0 from some step on stays frozen from there. Returns the statuses
+    (rows, horizon + 1, n_nodes) int8. Every row depends only on its own
+    inputs, bit for bit.
+    """
+    rows, horizon, n = uniforms.shape
+    if sources.shape != (rows, n):
+        raise ValueError(f"sources shape {sources.shape} != {(rows, n)}")
+    if n != graph.n_nodes:
+        raise ValueError(f"uniforms cover {n} nodes, graph has {graph.n_nodes}")
+    # thresholds per row, status and k infected neighbors (k <= max degree):
+    # 1 - (1 - sigma_inf)^k when susceptible, sigma_rec when infected, 0 when
+    # recovered
+    width = int(graph.degrees.max(initial=0)) + 1
+    table = np.zeros((rows, 3, width))
+    table[:, SUSCEPTIBLE, 0] = 1.0
+    table[:, SUSCEPTIBLE, 1:] = 1.0 - np.asarray(sigma_inf, dtype=np.float64)[..., None]
+    np.cumprod(table[:, SUSCEPTIBLE], axis=1, out=table[:, SUSCEPTIBLE])
+    np.subtract(1.0, table[:, SUSCEPTIBLE], out=table[:, SUSCEPTIBLE])
+    table[:, INFECTED] = np.asarray(sigma_rec, dtype=np.float64)[..., None]
+    table = table.ravel()
+
+    # code[r, v] indexes row r's table: (r * 3 + status) * width + k
+    status = np.where(sources, INFECTED, SUSCEPTIBLE).astype(np.int8)
+    code = (np.arange(rows)[:, None] * 3 + status) * width
+    flat_code = code.ravel()
+    flat_status = status.ravel()
+
+    def add_neighbor_counts(flat_nodes: np.ndarray, sign: int) -> None:
+        """Add sign to the k of every neighbor of the flat row * n + node ids."""
+        if flat_nodes.size == 0:
+            return
+        nodes = flat_nodes % n
+        targets = graph.neighbors_of_many(nodes) \
+            + np.repeat(flat_nodes - nodes, graph.degrees[nodes])
+        np.add.at(flat_code, targets, sign)
+
+    add_neighbor_counts(np.flatnonzero(sources), 1)
+    out = np.empty((rows, horizon + 1, n), dtype=np.int8)
+    out[:, 0] = status
+    for t in range(horizon):
+        moved = uniforms[:, t] < table[code]
+        status += moved  # S -> I and I -> R are both +1
+        out[:, t + 1] = status
+        changed = np.flatnonzero(moved)
+        if changed.size:
+            flat_code[changed] += width
+            now = flat_status[changed]
+            add_neighbor_counts(changed[now == INFECTED], 1)
+            add_neighbor_counts(changed[now == RECOVERED], -1)
+    return out
+
+
+def simulate(graph: Graph, params: SirParams, sources, seed) -> Trajectory:
+    """Run one SIR cascade from the given source set: a batch of one.
+
+    Deterministic for a fixed seed: draws one uniform block of shape
+    (horizon, n_nodes) from it, row t - 1 for step t.
     """
     src = _check_sources(sources, graph.n_nodes)
     rng = as_generator(seed)
-    frames = np.empty((params.horizon + 1, graph.n_nodes), dtype=np.int8)
-    frames[0] = SUSCEPTIBLE
-    frames[0, src] = INFECTED
-    for t in range(1, params.horizon + 1):
-        prev = frames[t - 1]
-        cur = prev.copy()
-        infected = np.flatnonzero(prev == INFECTED)
-        if infected.size:
-            contacts = graph.neighbors_of_many(infected)
-            contacts = contacts[prev[contacts] == SUSCEPTIBLE]
-            if contacts.size:
-                hits = contacts[rng.random(contacts.size) < params.sigma_inf]
-                cur[hits] = INFECTED
-            if params.sigma_rec > 0.0:
-                recovered = infected[rng.random(infected.size) < params.sigma_rec]
-                cur[recovered] = RECOVERED
-        frames[t] = cur
-    return Trajectory(statuses=frames, sources=src)
+    start = np.zeros((1, graph.n_nodes), dtype=bool)
+    start[0, src] = True
+    uniforms = rng.random((1, params.horizon, graph.n_nodes))
+    statuses = simulate_batch(graph, start, params.sigma_inf, params.sigma_rec,
+                              uniforms)
+    return Trajectory(statuses=statuses[0], sources=src)
 
 
 def observe(traj: Trajectory, t_first: int, n_snapshots: int = DEFAULT_SNAPSHOTS,
@@ -242,15 +312,45 @@ def auto_first_observation(n_sources: int, r0: float | None) -> int:
     return 1
 
 
+def _window_end(gen: GenerativeConfig, t_first: int) -> int:
+    return t_first + (gen.n_snapshots - 1) * gen.stride
+
+
+def _draw_sample(rng: np.random.Generator, graph: Graph, gen: GenerativeConfig,
+                 lambda1: float | None) -> tuple[np.ndarray, SirParams, int]:
+    """Draw one sample's sources, rates and first observation instant."""
+    k = _draw_int(rng, gen.source_count)
+    sigma_rec = _draw(rng, gen.sigma_rec)
+    if gen.r0 is not None:
+        r0 = _draw(rng, gen.r0)
+        sigma_inf = r0 * sigma_rec / lambda1
+    else:
+        sigma_inf = _draw(rng, gen.sigma_inf)
+        r0 = sigma_inf * lambda1 / sigma_rec if sigma_rec > 0.0 and lambda1 else None
+    sources = np.sort(rng.choice(graph.n_nodes, size=k, replace=False))
+    t_first = gen.t_first if isinstance(gen.t_first, int) \
+        else auto_first_observation(k, r0)
+    t_last = _window_end(gen, t_first)
+    if t_last > gen.horizon:
+        raise ValueError(
+            f"observation window ends at {t_last} but horizon is {gen.horizon}")
+    params = SirParams(sigma_inf=sigma_inf, sigma_rec=sigma_rec,
+                       horizon=t_last, r0=r0)
+    return sources, params, t_first
+
+
 def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: int,
                    lambda1: float | None = None,
                    seed_path: tuple[int, ...] = ()) -> list[LabeledSample]:
     """Draw i.i.d. labeled samples under one generative configuration.
 
-    Sample i uses the RNG substream (seed, *seed_path, i), so datasets are
-    byte-identical on re-run and independent of execution order. Source sets
-    are drawn uniformly without replacement from all nodes. An r0 range whose
-    upper ends derive sigma_inf > 1 is rejected before the first sample.
+    Sample i uses the RNG substream (seed, *seed_path, i) in the draw order
+    of the module docstring, so datasets are byte-identical on re-run and
+    independent of execution order. Samples are simulated in chunks of as
+    many as fit SIM_CHUNK_BYTES of uniforms; the chunk size changes no
+    sample. Source sets are drawn uniformly without replacement from all
+    nodes. An r0 range whose upper ends derive sigma_inf > 1 is rejected
+    before the first sample.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -269,29 +369,33 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
                 f"r0 range can derive sigma_inf = {worst:.6g} > 1 "
                 f"(r0 up to {_upper(gen.r0)}, sigma_rec up to "
                 f"{_upper(gen.sigma_rec)}, lambda1={lambda1:.6g})")
+    n = graph.n_nodes
+    longest = _window_end(gen, gen.t_first if isinstance(gen.t_first, int) else 2)
+    chunk = max(1, SIM_CHUNK_BYTES // (8 * n * longest))
+    # one uniform buffer serves every chunk; 1.0 freezes a row past its end
+    block = np.empty((min(chunk, n_samples), longest, n))
     samples = []
-    for i in range(n_samples):
-        rng = substream(seed, *seed_path, i)
-        k = _draw_int(rng, gen.source_count)
-        sigma_rec = _draw(rng, gen.sigma_rec)
-        if gen.r0 is not None:
-            r0 = _draw(rng, gen.r0)
-            sigma_inf = r0 * sigma_rec / lambda1
-        else:
-            sigma_inf = _draw(rng, gen.sigma_inf)
-            r0 = sigma_inf * lambda1 / sigma_rec if sigma_rec > 0.0 and lambda1 else None
-        sources = np.sort(rng.choice(graph.n_nodes, size=k, replace=False))
-        t_first = gen.t_first if isinstance(gen.t_first, int) \
-            else auto_first_observation(k, r0)
-        t_last = t_first + (gen.n_snapshots - 1) * gen.stride
-        if t_last > gen.horizon:
-            raise ValueError(
-                f"observation window ends at {t_last} but horizon is {gen.horizon}")
-        params = SirParams(sigma_inf=sigma_inf, sigma_rec=sigma_rec,
-                           horizon=t_last, r0=r0)
-        traj = simulate(graph, params, sources, rng)
-        x = observe(traj, t_first, gen.n_snapshots, gen.stride)
-        samples.append(LabeledSample(index=i, x=x, sources=sources, params=params))
+    for lo in range(0, n_samples, chunk):
+        drawn = []
+        for i in range(lo, min(lo + chunk, n_samples)):
+            rng = substream(seed, *seed_path, i)
+            drawn.append((rng, *_draw_sample(rng, graph, gen, lambda1)))
+        rows = len(drawn)
+        horizon = max(params.horizon for _, _, params, _ in drawn)
+        start = np.zeros((rows, n), dtype=bool)
+        uniforms = block[:rows, :horizon]
+        for r, (rng, sources, params, _) in enumerate(drawn):
+            start[r, sources] = True
+            rng.random(out=uniforms[r, :params.horizon])
+            uniforms[r, params.horizon:] = 1.0
+        statuses = simulate_batch(
+            graph, start, [params.sigma_inf for _, _, params, _ in drawn],
+            [params.sigma_rec for _, _, params, _ in drawn], uniforms)
+        for r, (_, sources, params, t_first) in enumerate(drawn):
+            traj = Trajectory(statuses=statuses[r, :params.horizon + 1], sources=sources)
+            x = observe(traj, t_first, gen.n_snapshots, gen.stride)
+            samples.append(LabeledSample(index=lo + r, x=x, sources=sources,
+                                         params=params))
     return samples
 
 
@@ -307,8 +411,27 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
 
 
 def _status_strings(x: SnapshotMatrix) -> list[str]:
-    chars = np.array(list(STATUS_ALPHABET))
-    return ["".join(chars[x.statuses[:, j]]) for j in range(x.n_snapshots)]
+    n = x.n_nodes
+    text = _ALPHABET_BYTES[x.statuses.T].tobytes().decode("ascii")
+    return [text[j * n:(j + 1) * n] for j in range(x.n_snapshots)]
+
+
+def _parse_statuses(strings, n_times: int, where: str) -> np.ndarray:
+    """Status strings of one sample record -> (n_nodes, n_snapshots) codes;
+    `where` names the record in error messages."""
+    if len(strings) != n_times:
+        raise ValueError(f"{where}: {len(strings)} status strings "
+                         f"for {n_times} observation times")
+    n = len(strings[0]) if strings else 0
+    if any(not isinstance(snap, str) or len(snap) != n for snap in strings):
+        raise ValueError(f"{where}: status strings of unequal length")
+    raw = "".join(strings).encode("utf-8")
+    codes = _BYTE_STATUS[np.frombuffer(raw, dtype=np.uint8)]
+    if raw and codes.min() < 0:
+        bad = next(c for c in "".join(strings) if c not in STATUS_ALPHABET)
+        raise ValueError(f"{where}: status character {bad!r} "
+                         f"outside {STATUS_ALPHABET!r}")
+    return codes.reshape(len(strings), n).T
 
 
 def save_dataset(samples: list[LabeledSample], path, seed, config: dict) -> None:
@@ -340,10 +463,8 @@ def load_dataset(path) -> tuple[list[LabeledSample], dict]:
         if rec.get("record") != "sample":
             raise ValueError(f"{path}: unexpected record {rec.get('record')!r}")
         times = np.asarray(rec["times"], dtype=np.int64)
-        cols = []
-        for snap in rec["status"]:
-            cols.append([_STATUS_CODE[c] for c in snap])
-        statuses = np.asarray(cols, dtype=np.int8).T
+        statuses = _parse_statuses(rec["status"], times.size,
+                                   f"{path}: sample {rec.get('index')}")
         x = SnapshotMatrix(statuses=statuses, times=times)
         params = SirParams(sigma_inf=rec["sigma_inf"], sigma_rec=rec["sigma_rec"],
                            horizon=rec["horizon"], r0=rec.get("r0"))

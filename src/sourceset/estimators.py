@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from sourceset.diffusion import (INFECTED, RECOVERED, SUSCEPTIBLE, LabeledSample,
-                                 SirParams, SnapshotMatrix)
+from sourceset.diffusion import (SIM_CHUNK_BYTES, SUSCEPTIBLE, LabeledSample,
+                                 SirParams, SnapshotMatrix, simulate_batch)
 from sourceset.graph import Graph
 from sourceset.util import as_generator
 
@@ -51,59 +51,23 @@ def estimate_heuristic(x: SnapshotMatrix, graph: Graph) -> np.ndarray:
     first snapshot, for nodes infected there (degree-0 infected nodes get 1).
     Nodes never seen infected get the probability floor.
     """
-    n = x.n_nodes
     ever = x.statuses != SUSCEPTIBLE  # (n, m)
     seen = ever.any(axis=1)
     first_col = np.where(seen, np.argmax(ever, axis=1), 0)
     earliness = np.where(seen, HEURISTIC_DECAY ** first_col, 0.0)
 
     first = x.statuses[:, 0]
-    infected_now = first != SUSCEPTIBLE
-    deficit = np.zeros(n)
-    for v in np.flatnonzero(infected_now):
-        nbrs = graph.neighbors(v)
-        if nbrs.size == 0:
-            deficit[v] = 1.0
-        else:
-            deficit[v] = np.count_nonzero(first[nbrs] == SUSCEPTIBLE) / nbrs.size
+    # susceptible neighbors per node: one prefix sum over the CSR lists
+    prefix = np.concatenate(([0], np.cumsum(first[graph.indices] == SUSCEPTIBLE)))
+    susceptible_nbrs = prefix[graph.indptr[1:]] - prefix[graph.indptr[:-1]]
+    degrees = graph.degrees
+    deficit = np.where(degrees > 0, susceptible_nbrs / np.maximum(degrees, 1), 1.0)
+    deficit[first == SUSCEPTIBLE] = 0.0
 
     probs = np.clip(HEURISTIC_EARLINESS_WEIGHT * earliness
                     + HEURISTIC_NEIGHBOR_WEIGHT * deficit, 0.0, 1.0)
     probs[~seen] = PROB_FLOOR
     return np.maximum(probs, PROB_FLOOR)
-
-
-def _batch_infected_or_removed(graph: Graph, params: SirParams,
-                               start_nodes: np.ndarray, times: np.ndarray,
-                               k_sims: int, rng: np.random.Generator) -> np.ndarray:
-    """Forward-simulate single-source cascades for a batch of candidates.
-
-    Returns a boolean array (n_candidates * k_sims, len(times), n_nodes) that
-    marks nodes ever infected (I or R) at each requested instant. Uses the
-    product form of the cascade step, which has the same law as the
-    per-contact simulator, and is vectorized across the whole batch.
-    """
-    n = graph.n_nodes
-    rows = start_nodes.size * k_sims
-    status = np.zeros((rows, n), dtype=np.int8)
-    status[np.arange(rows), np.repeat(start_nodes, k_sims)] = INFECTED
-    adj = graph.dense_adjacency
-    out = np.zeros((rows, times.size, n), dtype=bool)
-    t_max = int(times.max())
-    col = {int(t): j for j, t in enumerate(times)}
-    one_minus = 1.0 - params.sigma_inf
-    for t in range(1, t_max + 1):
-        infected = status == INFECTED
-        k_counts = infected.astype(np.float32) @ adj
-        p_inf = 1.0 - np.power(one_minus, k_counts)
-        fresh = (status == SUSCEPTIBLE) & (rng.random((rows, n)) < p_inf)
-        if params.sigma_rec > 0.0:
-            recovered = infected & (rng.random((rows, n)) < params.sigma_rec)
-            status[recovered] = RECOVERED
-        status[fresh] = INFECTED
-        if t in col:
-            out[:, col[t], :] = status != SUSCEPTIBLE
-    return out
 
 
 def estimate_monte_carlo(x: SnapshotMatrix, graph: Graph, params: SirParams,
@@ -113,8 +77,10 @@ def estimate_monte_carlo(x: SnapshotMatrix, graph: Graph, params: SirParams,
 
     Candidates are the infected/recovered support of the first snapshot (all
     nodes if that support is empty). For each candidate, k_sims cascades are
-    run and the fitness is the mean Jaccard similarity between the simulated
-    and observed ever-infected sets at the matched observation instants.
+    run through `simulate_batch`, one row per (candidate, run) in that order,
+    each drawing its uniform block from `seed` in row order. The fitness is
+    the mean Jaccard similarity between the simulated and observed
+    ever-infected sets at the matched observation instants.
     Fitness is mapped to [PROB_FLOOR, 1] by dividing by the best candidate.
     """
     if k_sims < 1:
@@ -124,14 +90,29 @@ def estimate_monte_carlo(x: SnapshotMatrix, graph: Graph, params: SirParams,
     candidates = np.flatnonzero(x.statuses[:, 0] != SUSCEPTIBLE)
     if candidates.size == 0:
         candidates = np.arange(n)
-    sim_params = SirParams(sigma_inf=params.sigma_inf, sigma_rec=params.sigma_rec,
-                           horizon=max(int(x.times.max()), 1), r0=params.r0)
-    sim_ir = _batch_infected_or_removed(graph, sim_params, candidates, x.times,
-                                        k_sims, rng)
+    starts = np.repeat(candidates, k_sims)
+    horizon = max(int(x.times.max()), 1)
     obs_ir = (x.statuses != SUSCEPTIBLE).T  # (m, n)
-    inter = np.einsum("rmn,mn->rm", sim_ir, obs_ir.astype(np.float64))
-    union = (sim_ir.sum(axis=2) + obs_ir.sum(axis=1)[None, :]) - inter
-    jaccard = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+    obs_weights = obs_ir.astype(np.float64)
+    obs_sizes = obs_ir.sum(axis=1)
+    chunk = max(1, SIM_CHUNK_BYTES // (8 * n * horizon))
+    block = np.empty((min(chunk, starts.size), horizon, n))
+    jaccard = np.empty((starts.size, x.times.size))
+    for lo in range(0, starts.size, chunk):
+        rows = starts[lo:lo + chunk]
+        start = np.zeros((rows.size, n), dtype=bool)
+        start[np.arange(rows.size), rows] = True
+        # rows draw their uniform blocks from rng in row order, so the
+        # chunk size changes no row
+        uniforms = rng.random(out=block[:rows.size])
+        statuses = simulate_batch(graph, start, params.sigma_inf, params.sigma_rec,
+                                  uniforms)
+        sim_ir = statuses[:, x.times] != SUSCEPTIBLE  # (rows, m, n)
+        inter = np.einsum("rmn,mn->rm", sim_ir, obs_weights)  # exact integers
+        union = (sim_ir.sum(axis=2) + obs_sizes[None, :]) - inter
+        jaccard[lo:lo + rows.size] = np.where(union > 0, inter / np.maximum(union, 1),
+                                              1.0)
+    # averaged once over all rows, so float rounding does not see the chunks
     fitness = jaccard.mean(axis=1).reshape(candidates.size, k_sims).mean(axis=1)
 
     probs = np.full(n, PROB_FLOOR)

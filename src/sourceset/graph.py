@@ -74,14 +74,6 @@ class Graph:
         mask = src < self.indices
         return set(zip(src[mask].tolist(), self.indices[mask].tolist()))
 
-    @cached_property
-    def dense_adjacency(self) -> np.ndarray:
-        """Dense float32 adjacency matrix; only for moderate graph sizes."""
-        adj = np.zeros((self.n_nodes, self.n_nodes), dtype=np.float32)
-        src = np.repeat(np.arange(self.n_nodes), self.degrees)
-        adj[src, self.indices] = 1.0
-        return adj
-
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
         if self.indptr.shape != (self.n_nodes + 1,):

@@ -77,6 +77,51 @@ class TestExitCodes:
         assert "no predictions" in capsys.readouterr().err
 
 
+    def test_dataset_from_another_graph_is_validation_error(self, tmp_path, capsys):
+        def simulate_on(graph, out, seed):
+            assert run("simulate", "--graph", graph, "--sigma-inf", "0.1",
+                       "--sigma-rec", "0.1", "--sources", "1", "--samples", "20",
+                       "--snapshots", "4", "--seed", str(seed), "--out", str(out)) == 0
+
+        cal, test = tmp_path / "cal.jsonl", tmp_path / "test.jsonl"
+        model, sets = tmp_path / "m.json", tmp_path / "sets.jsonl"
+        simulate_on("ba:200,3", cal, 1)
+        simulate_on("ba:100,3", test, 2)
+        assert run("calibrate", "--data", str(cal), "--score", "rec",
+                   "--alpha", "0.1", "--out", str(model)) == 0
+        capsys.readouterr()
+        assert run("predict", "--model", str(model), "--data", str(test),
+                   "--out", str(sets)) == 1
+        err = capsys.readouterr().err
+        assert "100 nodes" in err and "has 200" in err
+        assert not sets.exists()
+
+    def test_dataset_header_naming_another_graph_is_validation_error(self, tmp_path,
+                                                                     capsys):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        assert run(*simulate_args(data, samples=3)) == 0
+        text = data.read_text().replace('"complete:20"', '"complete:30"', 1)
+        data.write_text(text)
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.5", "--out", str(model)) == 1
+        err = capsys.readouterr().err
+        assert "20 nodes" in err and "has 30" in err
+        assert not model.exists()
+
+    def test_bad_status_character_is_validation_error(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        assert run(*simulate_args(data, samples=3)) == 0
+        lines = data.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[2])
+        rec["status"][1] = "X" + rec["status"][1][1:]
+        lines[2] = json.dumps(rec) + "\n"
+        data.write_text("".join(lines))
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.5", "--out", str(tmp_path / "m.json")) == 1
+        err = capsys.readouterr().err
+        assert f"sample {rec['index']}" in err and "'X'" in err
+
+
 class TestSimulate:
     def test_writes_records_with_header(self, tmp_path, capsys):
         out = tmp_path / "d.jsonl"

@@ -1,5 +1,7 @@
 """Simulator laws, snapshot windows, and dataset generation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from sourceset.diffusion import (
     sample_dataset,
     save_dataset,
     simulate,
+    simulate_batch,
 )
 from sourceset.graph import (
     barabasi_albert_graph,
@@ -23,6 +26,7 @@ from sourceset.graph import (
     complete_graph,
     spectral_radius,
 )
+from sourceset.util import substream
 
 
 def star_forest(n_stars, leaves):
@@ -32,6 +36,12 @@ def star_forest(n_stars, leaves):
         center = s * (leaves + 1)
         edges += [(center, center + 1 + j) for j in range(leaves)]
     return build_graph(n_stars * (leaves + 1), edges), leaves + 1
+
+
+def reference_status_strings(x):
+    """Per-character status encoder: one string per snapshot column."""
+    chars = np.array(list("SIR"))
+    return ["".join(chars[x.statuses[:, j]]) for j in range(x.n_snapshots)]
 
 
 def three_sigma_band(p, trials):
@@ -134,6 +144,57 @@ class TestSimulate:
             simulate(g, SirParams(0.5, 0.0, horizon=2), [9], seed=0)
 
 
+class TestSimulateBatch:
+    def test_k_contact_law(self):
+        # one row per trial on a single star: leaves 1..k start infected and
+        # the susceptible center 0 catches it w.p. 1 - (1 - sigma)^k
+        trials = 40_000
+        sigma = 0.2
+        for k in (2, 3, 5, 8):
+            g = build_graph(k + 1, [(0, j) for j in range(1, k + 1)])
+            start = np.zeros((trials, k + 1), dtype=bool)
+            start[:, 1:] = True
+            uniforms = substream(5, k).random((trials, 1, k + 1))
+            statuses = simulate_batch(g, start, np.full(trials, sigma),
+                                      np.zeros(trials), uniforms)
+            freq = np.mean(statuses[:, 1, 0] == INFECTED)
+            target = 1.0 - (1.0 - sigma) ** k
+            assert abs(freq - target) <= three_sigma_band(target, trials)
+
+    def test_rows_do_not_depend_on_their_batch(self):
+        g = barabasi_albert_graph(30, 2, seed=4)
+        cases = [(0.3, 0.1, [0], 6), (0.8, 0.0, [3, 9], 4), (0.05, 0.3, [1, 2, 3], 9),
+                 (1.0, 0.5, [29], 2)]
+        alone = [simulate(g, SirParams(si, sr, horizon=h), src, seed=substream(8, r))
+                 for r, (si, sr, src, h) in enumerate(cases)]
+        horizon = max(h for *_, h in cases)
+        start = np.zeros((len(cases), g.n_nodes), dtype=bool)
+        uniforms = np.ones((len(cases), horizon, g.n_nodes))
+        for r, (_, _, src, h) in enumerate(cases):
+            start[r, src] = True
+            uniforms[r, :h] = substream(8, r).random((h, g.n_nodes))
+        batch = simulate_batch(g, start, [c[0] for c in cases], [c[1] for c in cases],
+                               uniforms)
+        for r, (traj, (*_, h)) in enumerate(zip(alone, cases)):
+            assert np.array_equal(batch[r, :h + 1], traj.statuses)
+            # uniforms of 1.0 freeze the row after its own horizon
+            assert np.all(batch[r, h:] == traj.statuses[-1])
+        # reversed order, each row on its own
+        for r in reversed(range(len(cases))):
+            single = simulate_batch(g, start[r:r + 1], cases[r][0], cases[r][1],
+                                    uniforms[r:r + 1])
+            assert np.array_equal(single[0], batch[r])
+
+    def test_shape_checks(self):
+        g = complete_graph(4)
+        with pytest.raises(ValueError):
+            simulate_batch(g, np.zeros((2, 4), dtype=bool), 0.5, 0.1,
+                           np.ones((3, 2, 4)))
+        with pytest.raises(ValueError):
+            simulate_batch(g, np.zeros((2, 5), dtype=bool), 0.5, 0.1,
+                           np.ones((2, 2, 5)))
+
+
 class TestObserve:
     def test_single_snapshot_equals_trajectory_column(self):
         g = complete_graph(8)
@@ -234,6 +295,43 @@ class TestSampleDataset:
             sample_dataset(g, gen, 10, seed=3, lambda1=lambda1)
         assert f"{40.0 * 0.4 / lambda1:.6g}" in str(info.value)
 
+    def test_chunk_size_changes_no_sample(self, monkeypatch):
+        g = barabasi_albert_graph(40, 2, seed=1)
+        gen = self.gen(source_count=(1, 8))
+        default = sample_dataset(g, gen, 23, seed=6)
+        # uniform bytes of one row: the window ends at t_first = 2 at most
+        row_bytes = 8 * g.n_nodes * (2 + (gen.n_snapshots - 1) * gen.stride)
+        for rows in (1, 7):
+            monkeypatch.setattr(diffusion, "SIM_CHUNK_BYTES", rows * row_bytes)
+            chunked = sample_dataset(g, gen, 23, seed=6)
+            for a, b in zip(default, chunked, strict=True):
+                assert a.index == b.index
+                assert np.array_equal(a.sources, b.sources)
+                assert a.params == b.params
+                assert np.array_equal(a.x.times, b.x.times)
+                assert np.array_equal(a.x.statuses, b.x.statuses)
+
+    def test_sample_equals_simulate_on_its_substream(self):
+        # the documented draw order: source count, sigma_rec, r0, sources,
+        # then the uniform block that simulate draws
+        g = barabasi_albert_graph(40, 2, seed=1)
+        lambda1 = spectral_radius(g)
+        gen = self.gen(source_count=(1, 5), r0=(1.0, 8.0), sigma_rec=(0.1, 0.4))
+        samples = sample_dataset(g, gen, 12, seed=5, lambda1=lambda1,
+                                 seed_path=(0, 3))
+        for s in samples:
+            rng = substream(5, 0, 3, s.index)
+            k = int(rng.integers(1, 6))
+            sigma_rec = float(rng.uniform(0.1, 0.4))
+            r0 = float(rng.uniform(1.0, 8.0))
+            sources = np.sort(rng.choice(g.n_nodes, size=k, replace=False))
+            assert np.array_equal(sources, s.sources)
+            assert (s.params.sigma_rec, s.params.r0) == (sigma_rec, r0)
+            assert s.params.sigma_inf == r0 * sigma_rec / lambda1
+            traj = simulate(g, s.params, sources, rng)
+            x = observe(traj, int(s.x.times[0]), gen.n_snapshots, gen.stride)
+            assert np.array_equal(x.statuses, s.x.statuses)
+
     def test_si_mode_with_fixed_sigma_inf(self):
         g = barabasi_albert_graph(40, 2, seed=1)
         gen = self.gen(r0=None, sigma_inf=0.25, sigma_rec=0.0)
@@ -269,3 +367,63 @@ class TestSampleDataset:
             GenerativeConfig(r0=None, sigma_inf=None)
         with pytest.raises(ValueError):
             GenerativeConfig(r0=(1, 2), sigma_inf=(0.1, 0.2))
+
+
+class TestDatasetCodec:
+    def write_reference(self, samples, path, seed, config, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(diffusion, "_status_strings", reference_status_strings)
+            save_dataset(samples, path, seed, config)
+
+    def test_files_byte_identical_to_per_character_encoder(self, tmp_path,
+                                                            monkeypatch):
+        g = barabasi_albert_graph(60, 2, seed=3)
+        gen = GenerativeConfig(source_count=(1, 6), r0=(1.0, 8.0),
+                               sigma_rec=(0.1, 0.4), n_snapshots=7, stride=2)
+        samples = sample_dataset(g, gen, 40, seed=2)
+        assert any(np.any(s.x.statuses == RECOVERED) for s in samples)
+        config = {"graph_spec": "ba:60,2"}
+        save_dataset(samples, tmp_path / "new.jsonl", 2, config)
+        self.write_reference(samples, tmp_path / "ref.jsonl", 2, config, monkeypatch)
+        assert (tmp_path / "new.jsonl").read_bytes() == \
+            (tmp_path / "ref.jsonl").read_bytes()
+
+    def edit_sample(self, path, sample_line, edit):
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[sample_line])
+        edit(rec)
+        lines[sample_line] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        return rec["index"]
+
+    def dataset(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        samples = sample_dataset(complete_graph(12), GenerativeConfig(
+            source_count=1, r0=None, sigma_inf=0.3, sigma_rec=0.2, n_snapshots=3),
+            4, seed=1)
+        save_dataset(samples, path, 1, {})
+        return path
+
+    @pytest.mark.parametrize("bad", ["X", "s", "\u00e9", "0"])
+    def test_character_outside_alphabet_names_the_sample(self, tmp_path, bad):
+        path = self.dataset(tmp_path)
+
+        def put(rec):
+            rec["status"][2] = rec["status"][2][:5] + bad + rec["status"][2][6:]
+
+        index = self.edit_sample(path, 3, put)
+        with pytest.raises(ValueError, match=f"sample {index}: status character"):
+            load_dataset(path)
+
+    def test_unequal_string_lengths_name_the_sample(self, tmp_path):
+        path = self.dataset(tmp_path)
+        index = self.edit_sample(path, 2, lambda rec: rec["status"].__setitem__(
+            0, rec["status"][0] + "S"))
+        with pytest.raises(ValueError, match=f"sample {index}: .*unequal length"):
+            load_dataset(path)
+
+    def test_string_count_must_match_times(self, tmp_path):
+        path = self.dataset(tmp_path)
+        index = self.edit_sample(path, 4, lambda rec: rec["status"].pop())
+        with pytest.raises(ValueError, match=f"sample {index}: 2 status strings"):
+            load_dataset(path)

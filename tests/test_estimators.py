@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from sourceset import estimators
 from sourceset.diffusion import (
     INFECTED,
+    SUSCEPTIBLE,
     GenerativeConfig,
     LabeledSample,
     SirParams,
@@ -41,6 +43,25 @@ def random_samples(graph, n, seed, **gen_overrides):
                   sigma_rec=(0.0, 0.3), n_snapshots=4, t_first=2)
     values.update(gen_overrides)
     return sample_dataset(graph, GenerativeConfig(**values), n, seed)
+
+
+def reference_heuristic(x, graph):
+    """The heuristic's neighbor-deficit rule written as a per-node loop."""
+    ever = x.statuses != SUSCEPTIBLE
+    seen = ever.any(axis=1)
+    first_col = np.where(seen, np.argmax(ever, axis=1), 0)
+    earliness = np.where(seen, 0.5 ** first_col, 0.0)
+    first = x.statuses[:, 0]
+    deficit = np.zeros(x.n_nodes)
+    for v in np.flatnonzero(first != SUSCEPTIBLE):
+        nbrs = graph.neighbors(v)
+        if nbrs.size == 0:
+            deficit[v] = 1.0
+        else:
+            deficit[v] = np.count_nonzero(first[nbrs] == SUSCEPTIBLE) / nbrs.size
+    probs = np.clip(0.6 * earliness + 0.4 * deficit, 0.0, 1.0)
+    probs[~seen] = PROB_FLOOR
+    return np.maximum(probs, PROB_FLOOR)
 
 
 def average_ranks(values):
@@ -106,6 +127,15 @@ class TestHeuristic:
                     random_hits += hit
         assert heuristic_hits > random_hits
 
+    def test_matches_per_node_reference_bitwise(self):
+        # nodes 40..44 are isolated, so degree-0 infected nodes occur
+        ba = barabasi_albert_graph(40, 2, seed=5)
+        g = build_graph(45, ba.edge_set())
+        samples = random_samples(g, 300, seed=8, source_count=(1, 6), t_first=1)
+        assert any(s.x.statuses[40:, 0].any() for s in samples)
+        for s in samples:
+            assert np.array_equal(estimate_heuristic(s.x, g), reference_heuristic(s.x, g))
+
     def test_output_contract_fuzz(self):
         g = barabasi_albert_graph(30, 2, seed=5)
         rng = np.random.default_rng(0)
@@ -157,6 +187,16 @@ class TestMonteCarlo:
         a = estimate_monte_carlo(x, g, params, k_sims=20, seed=5)
         b = estimate_monte_carlo(x, g, params, k_sims=20, seed=5)
         assert np.array_equal(a, b)
+
+    def test_chunk_size_changes_nothing(self, monkeypatch):
+        g = barabasi_albert_graph(40, 2, seed=4)
+        samples = random_samples(g, 8, seed=12, source_count=(2, 5))
+        whole = [estimate_monte_carlo(s.x, g, s.params, k_sims=3, seed=s.index)
+                 for s in samples]
+        monkeypatch.setattr(estimators, "SIM_CHUNK_BYTES", 1)  # one row per chunk
+        for s, probs in zip(samples, whole):
+            assert np.array_equal(
+                estimate_monte_carlo(s.x, g, s.params, k_sims=3, seed=s.index), probs)
 
     def test_output_contract(self):
         g = barabasi_albert_graph(25, 2, seed=9)
