@@ -92,11 +92,12 @@ def _check_node_counts(samples, graph, graph_spec: str, data_path: str) -> None:
                 f"graph {graph_spec} has {graph.n_nodes}")
 
 
-def _dataset_graph(header: dict):
+def _header_graph(header: dict, what: str):
+    """The graph a dataset or model header names, and the header's config."""
     config = header.get("config", {})
     spec = config.get("graph_spec")
     if spec is None:
-        raise click.ClickException("dataset header lacks graph_spec")
+        raise click.ClickException(f"{what} header lacks graph_spec")
     return graph_from_spec(spec, seed=config.get("graph_seed", 0)), config
 
 
@@ -116,7 +117,7 @@ def calibrate(data_path, score, alpha, beta, estimator_spec, seed, out_path):
     samples, header = load_dataset(data_path)
     if not samples:
         raise click.ClickException(f"{data_path}: no samples")
-    graph, graph_config = _dataset_graph(header)
+    graph, graph_config = _header_graph(header, "dataset")
     _check_node_counts(samples, graph, graph_config["graph_spec"], data_path)
     estimator = build_estimator(estimator_spec, graph)
     pairs = [(estimator(s, substream(seed, s.index)), s.sources) for s in samples]
@@ -138,14 +139,16 @@ def predict(model_path, data_path, out_path):
     _require_file(model_path)
     _require_file(data_path)
     model, model_header = conformal.load_model(model_path)
+    estimator_spec = model_header.get("config", {}).get("estimator", "heuristic")
+    if estimator_spec.startswith("file:"):
+        raise click.ClickException(
+            f"{model_path} was calibrated with estimator {estimator_spec!r}: its "
+            f"rows are the calibration samples' probabilities, so a file: "
+            f"estimator cannot be reused for a different dataset")
     samples, _ = load_dataset(data_path)
-    model_config = model_header.get("config", {})
-    spec = model_config.get("graph_spec")
-    if spec is None:
-        raise click.ClickException("model header lacks graph_spec")
-    graph = graph_from_spec(spec, seed=model_config.get("graph_seed", 0))
-    _check_node_counts(samples, graph, spec, data_path)
-    estimator = build_estimator(model_config.get("estimator", "heuristic"), graph)
+    graph, model_config = _header_graph(model_header, "model")
+    _check_node_counts(samples, graph, model_config["graph_spec"], data_path)
+    estimator = build_estimator(estimator_spec, graph)
     est_seed = model_config.get("estimator_seed", 0)
     config = {"model": str(model_path), "data": str(data_path),
               "score": model.score, "alpha": model.levels.alpha,
@@ -210,29 +213,18 @@ def _config_from_file(path: str) -> experiment.ExperimentConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise click.ClickException(f"{path}: invalid JSON ({exc})")
+    if not isinstance(raw, dict) or not isinstance(raw.get("generative"), dict):
+        raise click.ClickException(f"{path}: config needs a 'generative' object")
+
+    def tuples(fields: dict) -> dict:
+        return {k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()}
+
+    # an unknown or missing key is a TypeError that names it
     try:
-        gen_raw = dict(raw["generative"])
-        for key in ("source_count", "r0", "sigma_inf", "sigma_rec"):
-            if isinstance(gen_raw.get(key), list):
-                gen_raw[key] = tuple(gen_raw[key])
-        gen = GenerativeConfig(**gen_raw)
-        return experiment.ExperimentConfig(
-            graph_spec=raw["graph_spec"],
-            generative=gen,
-            alphas=tuple(raw.get("alphas", (0.05, 0.1, 0.15))),
-            betas=tuple(raw.get("betas", (0.1, 0.3, 0.5, 0.7))),
-            score_kinds=tuple(raw.get("score_kinds", conformal.SCORE_KINDS)),
-            estimator=raw.get("estimator", "heuristic"),
-            n_cal=raw.get("n_cal", 7600),
-            n_test=raw.get("n_test", 400),
-            n_trials=raw.get("n_trials", 50),
-            seed=raw.get("seed", 0),
-            graph_seed=raw.get("graph_seed", 0),
-        )
-    except KeyError as exc:
-        raise click.ClickException(f"{path}: missing config field {exc}")
+        return experiment.ExperimentConfig(**{
+            **tuples(raw), "generative": GenerativeConfig(**tuples(raw["generative"]))})
     except (TypeError, ValueError) as exc:
-        raise click.ClickException(f"{path}: bad config value: {exc}")
+        raise click.ClickException(f"{path}: bad config: {exc}")
 
 
 @cli.command()

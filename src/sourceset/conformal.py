@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sourceset.util import substream, write_jsonl_header, read_jsonl
+from sourceset.util import check_node_set, substream, write_jsonl_header, read_jsonl
 
 SCORE_KINDS = ("pre", "rec", "min")
 
@@ -126,15 +126,6 @@ def _check_probs(probs) -> np.ndarray:
     return arr
 
 
-def _check_members(members, n_nodes: int) -> np.ndarray:
-    arr = np.unique(np.asarray(members, dtype=np.int64))
-    if arr.size == 0:
-        raise ValueError("node set must be non-empty")
-    if arr.min() < 0 or arr.max() >= n_nodes:
-        raise ValueError("node index out of range")
-    return arr
-
-
 def probability_order(probs: np.ndarray) -> np.ndarray:
     """Node indices sorted by (probability desc, index asc).
 
@@ -184,7 +175,7 @@ class RankedProbs:
 
     def positions(self, members) -> np.ndarray:
         """Ascending positions of the node set `members` in the canonical order."""
-        members = _check_members(members, self.order.size)
+        members = check_node_set(members, self.order.size)
         inverse = np.empty_like(self.order)
         inverse[self.order] = np.arange(self.order.size)
         return np.sort(inverse[members])
@@ -207,7 +198,7 @@ class RankedProbs:
 def upward_closure(probs, members) -> np.ndarray:
     """All nodes whose probability is >= the smallest probability in `members`."""
     probs = _check_probs(probs)
-    members = _check_members(members, probs.size)
+    members = check_node_set(members, probs.size)
     threshold = probs[members].min()
     return np.flatnonzero(probs >= threshold)
 
@@ -220,7 +211,7 @@ def shrink_set(probs, members, beta: float) -> np.ndarray:
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
     probs = _check_probs(probs)
-    members = _check_members(members, probs.size)
+    members = check_node_set(members, probs.size)
     keep = required_hits(members.size, beta)
     order = np.argsort(-probs[members], kind="stable")
     return np.sort(members[order[:keep]])
@@ -356,7 +347,7 @@ def crc_calibrate(samples, levels: NominalLevels) -> float:
     t = np.empty(n)
     for i, (probs, sources) in enumerate(samples):
         probs = _check_probs(probs)
-        y = _check_members(sources, probs.size)
+        y = check_node_set(sources, probs.size)
         # when every sample may be violated, the answer is the smallest
         # 1 - prob of any sample, so each sample contributes its smallest
         k = 1 if allowed >= n else required_hits(y.size, levels.beta)

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from sourceset.graph import Graph, spectral_radius
-from sourceset.util import as_generator, substream, write_jsonl_header, read_jsonl
+from sourceset.util import (as_generator, check_node_set, read_jsonl, substream,
+                            write_jsonl_header)
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 STATUS_ALPHABET = "SIR"
@@ -139,15 +140,6 @@ class LabeledSample:
     params: SirParams
 
 
-def _check_sources(sources, n_nodes: int) -> np.ndarray:
-    arr = np.unique(np.asarray(sources, dtype=np.int64))
-    if arr.size == 0:
-        raise ValueError("source set must be non-empty")
-    if arr.min() < 0 or arr.max() >= n_nodes:
-        raise ValueError("source index out of range")
-    return arr
-
-
 def simulate_batch(graph: Graph, sources: np.ndarray, sigma_inf, sigma_rec,
                    uniforms: np.ndarray) -> np.ndarray:
     """Run independent SIR cascades together, one per row.
@@ -214,7 +206,7 @@ def simulate(graph: Graph, params: SirParams, sources, seed) -> Trajectory:
     Deterministic for a fixed seed: draws one uniform block of shape
     (horizon, n_nodes) from it, row t - 1 for step t.
     """
-    src = _check_sources(sources, graph.n_nodes)
+    src = check_node_set(sources, graph.n_nodes)
     rng = as_generator(seed)
     start = np.zeros((1, graph.n_nodes), dtype=bool)
     start[0, src] = True

@@ -10,7 +10,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
@@ -68,62 +67,68 @@ class Graph:
                           counts)
         return self.indices[bases + np.arange(total)]
 
+    def _arc_sources(self) -> np.ndarray:
+        """Source node of every CSR arc, aligned with `indices`."""
+        return np.repeat(np.arange(self.n_nodes), self.degrees)
+
     def edge_set(self) -> set[tuple[int, int]]:
         """All edges as (min, max) pairs."""
-        src = np.repeat(np.arange(self.n_nodes), self.degrees)
+        src = self._arc_sources()
         mask = src < self.indices
         return set(zip(src[mask].tolist(), self.indices[mask].tolist()))
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
-        if self.indptr.shape != (self.n_nodes + 1,):
+        n = self.n_nodes
+        if self.indptr.shape != (n + 1,):
             raise ValueError("indptr length mismatch")
+        if self.indptr[0] != 0 or np.any(self.degrees < 0):
+            raise ValueError("indptr must start at 0 and be non-decreasing")
         if self.indices.size != self.indptr[-1]:
             raise ValueError("indices length mismatch")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n_nodes):
+        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= n):
             raise ValueError("neighbor index out of range")
-        for v in range(self.n_nodes):
-            nbrs = self.neighbors(v)
-            if np.any(np.diff(nbrs) <= 0):
-                raise ValueError(f"neighbor list of {v} not strictly ascending")
-            if np.any(nbrs == v):
-                raise ValueError(f"self-loop at {v}")
-        # symmetry: every (u, v) arc must have its reverse
-        src = np.repeat(np.arange(self.n_nodes), self.degrees)
-        fwd = set(zip(src.tolist(), self.indices.tolist()))
-        if any((v, u) not in fwd for u, v in fwd):
+        src = self._arc_sources()
+        unsorted = (src[1:] == src[:-1]) & (np.diff(self.indices) <= 0)
+        if unsorted.any():
+            raise ValueError(
+                f"neighbor list of {src[1:][unsorted][0]} not strictly ascending")
+        loops = src == self.indices
+        if loops.any():
+            raise ValueError(f"self-loop at {src[loops][0]}")
+        # rows are sorted, so symmetric means the reversed keys sort back to them
+        if not np.array_equal(src * n + self.indices, np.sort(self.indices * n + src)):
             raise ValueError("adjacency not symmetric")
 
 
 def build_graph(n_nodes: int, edges) -> Graph:
-    """Construct a Graph from an iterable of (u, v) pairs.
+    """Construct a Graph from (u, v) pairs: an iterable or an (m, 2) int array.
 
-    Self-loops and duplicate edges are rejected here; use the edge-list
-    loader for forgiving ingestion of external files.
+    Duplicate edges, in either orientation, are merged; self-loops and ids
+    outside 0..n_nodes-1 raise ValueError. Every graph is built here.
     """
     if n_nodes < 0:
         raise ValueError("n_nodes must be non-negative")
-    pairs = {(min(u, v), max(u, v)) for u, v in edges}
-    for u, v in pairs:
-        if u == v:
-            raise ValueError(f"self-loop at node {u}")
-        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
-            raise ValueError(f"edge ({u}, {v}) out of range for n_nodes={n_nodes}")
-    counts = np.zeros(n_nodes, dtype=np.int64)
-    for u, v in pairs:
-        counts[u] += 1
-        counts[v] += 1
+    pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                       dtype=np.int64)
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError("edges must be (u, v) pairs")
+    pairs = np.sort(pairs, axis=1)
+    lo, hi = pairs.T
+    loops = lo == hi
+    if loops.any():
+        raise ValueError(f"self-loop at node {lo[loops][0]}")
+    outside = (lo < 0) | (hi >= n_nodes)
+    if outside.any():
+        u, v = pairs[outside][0]
+        raise ValueError(f"edge ({u}, {v}) out of range for n_nodes={n_nodes}")
+    edges = pairs[np.unique(lo * n_nodes + hi, return_index=True)[1]]
+    src, dst = np.concatenate((edges, edges[:, ::-1])).T
+    indices = dst[np.lexsort((dst, src))]
     indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    cursor = indptr[:-1].copy()
-    for u, v in pairs:
-        indices[cursor[u]] = v
-        cursor[u] += 1
-        indices[cursor[v]] = u
-        cursor[v] += 1
-    for v in range(n_nodes):
-        indices[indptr[v]:indptr[v + 1]].sort()
+    np.cumsum(np.bincount(src, minlength=n_nodes), out=indptr[1:])
     return Graph(n_nodes=n_nodes, indptr=indptr, indices=indices)
 
 
@@ -133,26 +138,17 @@ def build_graph(n_nodes: int, edges) -> Graph:
 #
 # Format: optional '#' comment lines, one "u v" pair of non-negative integers
 # per line, whitespace-delimited. A comment directive "# nodes: N" declares an
-# explicit node count; otherwise n_nodes = 1 + max index seen. Self-loops and
-# duplicate edges are dropped (counted, not fatal).
+# explicit node count; otherwise n_nodes = 1 + max index over every line,
+# self-loop lines included. Self-loops and duplicate edges are dropped
+# (counted, not fatal).
 
 
-@dataclass(frozen=True)
-class EdgeFileData:
-    """Parsed edge-list file before graph construction."""
-
-    declared_nodes: int | None
-    edges: list[tuple[int, int]]
-    max_index: int
-    n_dropped: int
-
-
-def read_edge_file(path) -> EdgeFileData:
+def read_edge_file(path) -> tuple[int | None, np.ndarray]:
+    """Parse an edge-list file into (declared node count or None, rows):
+    the pair lines as an (m, 2) int64 array, self-loops and duplicates kept.
+    """
     declared = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    max_index = -1
-    dropped = 0
+    rows: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -179,17 +175,13 @@ def read_edge_file(path) -> EdgeFileData:
             if u < 0 or v < 0:
                 raise GraphFormatError(
                     f"{path}:{lineno}: negative node index in {line!r}")
-            max_index = max(max_index, u, v)
-            key = (min(u, v), max(u, v))
-            if u == v or key in seen:
-                dropped += 1
-                continue
-            seen.add(key)
-            edges.append(key)
-    if max_index < 0 and declared is None:
+            rows.append((u, v))
+    if not rows and declared is None:
         raise GraphFormatError(f"{path}: empty edge list")
-    return EdgeFileData(declared_nodes=declared, edges=edges,
-                        max_index=max_index, n_dropped=dropped)
+    try:
+        return declared, np.array(rows, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        raise GraphFormatError(f"{path}: node index too large") from None
 
 
 def load_edge_list(path, remap: bool = False) -> Graph:
@@ -197,38 +189,40 @@ def load_edge_list(path, remap: bool = False) -> Graph:
 
     With remap=False, node ids are used as dense indices and
     n_nodes = 1 + max id (or the '# nodes: N' directive when present).
-    With remap=True, sparse external ids are remapped to dense 0-based ids
-    (sorted by original id) and the mapping is persisted to
-    '<path>.idmap' as two-column "original_id dense_id" text.
+    With remap=True, the ids left after dropping self-loops are remapped
+    to dense 0-based ids (sorted by original id) and the mapping is
+    persisted to '<path>.idmap' as two-column "original_id dense_id" text.
     """
-    data = read_edge_file(path)
-    if data.n_dropped:
-        log.info("%s: dropped %d duplicate/self-loop line(s)", path, data.n_dropped)
+    declared, rows = read_edge_file(path)
+    edges = rows[rows[:, 0] != rows[:, 1]]
     if remap:
-        originals = sorted({u for e in data.edges for u in e})
-        mapping = {orig: dense for dense, orig in enumerate(originals)}
-        edges = [(mapping[u], mapping[v]) for u, v in data.edges]
-        n = len(originals)
-        sidecar = Path(f"{path}.idmap")
-        with open(sidecar, "w", encoding="utf-8") as fh:
+        originals, dense = np.unique(edges, return_inverse=True)
+        edges = dense.reshape(edges.shape)
+        n = originals.size
+        with open(f"{path}.idmap", "w", encoding="utf-8") as fh:
             fh.write("# original_id dense_id\n")
-            for orig in originals:
-                fh.write(f"{orig} {mapping[orig]}\n")
+            fh.writelines(f"{orig} {i}\n" for i, orig in enumerate(originals.tolist()))
     else:
-        edges = data.edges
-        n = data.declared_nodes if data.declared_nodes is not None else data.max_index + 1
-        if data.max_index >= n:
+        max_index = int(rows.max()) if rows.size else -1
+        n = declared if declared is not None else max_index + 1
+        if max_index >= n:
             raise GraphFormatError(
-                f"{path}: node index {data.max_index} exceeds declared count {n}")
-    return build_graph(n, edges)
+                f"{path}: node index {max_index} exceeds declared count {n}")
+    graph = build_graph(n, edges)
+    dropped = len(rows) - graph.n_edges
+    if dropped:
+        log.info("%s: dropped %d duplicate/self-loop line(s)", path, dropped)
+    return graph
 
 
 def save_edge_list(graph: Graph, path) -> None:
-    """Write a graph back out in the edge-list text format."""
+    """Write a graph back out in the edge-list text format, edges sorted."""
+    src = graph._arc_sources()
+    upper = src < graph.indices
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# nodes: {graph.n_nodes}\n")
-        for u, v in sorted(graph.edge_set()):
-            fh.write(f"{u} {v}\n")
+        fh.writelines(f"{u} {v}\n" for u, v in
+                      zip(src[upper].tolist(), graph.indices[upper].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +233,7 @@ def save_edge_list(graph: Graph, path) -> None:
 def complete_graph(n: int) -> Graph:
     if n < 2:
         raise ValueError("complete graph needs n >= 2")
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return build_graph(n, np.column_stack(np.triu_indices(n, k=1)))
 
 
 def erdos_renyi_graph(n: int, p: float, seed) -> Graph:
@@ -253,7 +247,7 @@ def erdos_renyi_graph(n: int, p: float, seed) -> Graph:
     rng = as_generator(seed)
     iu, iv = np.triu_indices(n, k=1)
     mask = rng.random(iu.size) < p
-    return build_graph(n, zip(iu[mask].tolist(), iv[mask].tolist()))
+    return build_graph(n, np.column_stack((iu[mask], iv[mask])))
 
 
 def barabasi_albert_graph(n: int, m: int, seed) -> Graph:

@@ -29,6 +29,17 @@ def as_generator(seed) -> np.random.Generator:
     return substream(int(seed))
 
 
+def check_node_set(nodes, n_nodes: int) -> np.ndarray:
+    """Sorted distinct int64 ids of a non-empty node set of a graph with
+    n_nodes nodes; raises ValueError otherwise."""
+    arr = np.unique(np.asarray(nodes, dtype=np.int64))
+    if arr.size == 0:
+        raise ValueError("node set must be non-empty")
+    if arr.min() < 0 or arr.max() >= n_nodes:
+        raise ValueError("node index out of range")
+    return arr
+
+
 def config_hash(obj) -> str:
     """Short stable digest of a JSON-serializable configuration object."""
     blob = json.dumps(obj, sort_keys=True, default=str).encode()

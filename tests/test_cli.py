@@ -108,6 +108,31 @@ class TestExitCodes:
         assert "20 nodes" in err and "has 30" in err
         assert not model.exists()
 
+    def test_predict_refuses_file_estimator_from_model(self, tmp_path, capsys):
+        # the rows belong to the calibration samples; reusing them would
+        # score test sample i with calibration row i
+        cal, test = tmp_path / "cal.jsonl", tmp_path / "test.jsonl"
+        probs, model = tmp_path / "probs.txt", tmp_path / "m.json"
+        sets = tmp_path / "sets.jsonl"
+        for out, seed, n in ((cal, 1, 40), (test, 2, 20)):
+            assert run("simulate", "--graph", "complete:12", "--sigma-inf", "0.2",
+                       "--sigma-rec", "0.1", "--sources", "1,3", "--samples", str(n),
+                       "--snapshots", "4", "--seed", str(seed), "--out", str(out)) == 0
+        rows = []
+        for s in load_dataset(cal)[0]:
+            p = np.zeros(12)
+            p[s.sources] = 1.0
+            rows.append(f"{s.index} " + " ".join(map(repr, p.tolist())) + "\n")
+        probs.write_text("# prob-vectors n_nodes=12\n" + "".join(rows))
+        assert run("calibrate", "--data", str(cal), "--score", "rec", "--alpha", "0.1",
+                   "--beta", "0.3", "--estimator", f"file:{probs}",
+                   "--out", str(model)) == 0
+        capsys.readouterr()
+        assert run("predict", "--model", str(model), "--data", str(test),
+                   "--out", str(sets)) == 1
+        assert "cannot be reused for a different dataset" in capsys.readouterr().err
+        assert not sets.exists()
+
     def test_bad_status_character_is_validation_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         assert run(*simulate_args(data, samples=3)) == 0
@@ -250,6 +275,16 @@ class TestSweepCommand:
         path.write_text(json.dumps({"graph_spec": "ba:40,2"}))
         assert run("sweep", "--config", str(path),
                    "--out-dir", str(tmp_path / "o")) == 1
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["n_trial"] = cfg.pop("n_trials")
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run("sweep", "--config", str(path), "--out-dir", str(out)) == 1
+        assert "'n_trial'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_reruns_byte_identical(self, tmp_path):
         cfg = self.write_config(tmp_path)
