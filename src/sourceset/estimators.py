@@ -9,6 +9,8 @@ every entry strictly positive, which keeps all score variants finite.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from sourceset.diffusion import (SIM_CHUNK_BYTES, SUSCEPTIBLE, LabeledSample,
@@ -82,6 +84,11 @@ def estimate_monte_carlo(x: SnapshotMatrix, graph: Graph, params: SirParams,
     the mean Jaccard similarity between the simulated and observed
     ever-infected sets at the matched observation instants.
     Fitness is mapped to [PROB_FLOOR, 1] by dividing by the best candidate.
+
+    `params` are the rates the cascades run with; `build_estimator` passes
+    the sample's own true generative rates, which a practitioner would not
+    know, so Monte Carlo set sizes are an optimistic reference, not a
+    realistic baseline.
     """
     if k_sims < 1:
         raise ValueError("k_sims must be >= 1")
@@ -151,22 +158,36 @@ def save_prob_vectors(vectors: dict[int, np.ndarray], n_nodes: int, path) -> Non
             fh.write(f"{idx} {row}\n")
 
 
-def load_prob_vectors(path) -> dict[int, np.ndarray]:
+def load_prob_vectors(path, n_nodes: int | None = None) -> dict[int, np.ndarray]:
+    """Read a probability file into {sample index: vector}.
+
+    Every row must have the header's n_nodes entries when there is a header.
+    With `n_nodes` given (the node count of the graph the rows are scored
+    on), the header and every row must match it too. Errors name the file
+    and the line.
+    """
     vectors: dict[int, np.ndarray] = {}
-    n_nodes = None
+    expected = n_nodes
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("#"):
-                if "n_nodes=" in line:
-                    n_nodes = int(line.split("n_nodes=")[1].split()[0])
-                continue
-            tokens = line.split()
-            idx = int(tokens[0])
-            probs = np.asarray([float(t) for t in tokens[1:]], dtype=np.float64)
-            vectors[idx] = validate_prob_vector(probs, n_nodes)
+            try:
+                if line.startswith("#"):
+                    if "n_nodes=" in line:
+                        declared = int(re.search(r"n_nodes=(\S*)", line).group(1))
+                        if n_nodes is not None and declared != n_nodes:
+                            raise ValueError(f"header declares n_nodes={declared} "
+                                             f"but the graph has {n_nodes} nodes")
+                        expected = declared
+                    continue
+                tokens = line.split()
+                idx = int(tokens[0])
+                probs = np.asarray([float(t) for t in tokens[1:]], dtype=np.float64)
+                vectors[idx] = validate_prob_vector(probs, expected)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return vectors
 
 
@@ -193,7 +214,7 @@ def build_estimator(spec: str, graph: Graph):
         return lambda sample, rng: estimate_monte_carlo(
             sample.x, graph, sample.params, k_sims, rng)
     if kind == "file":
-        table = load_prob_vectors(arg)
+        table = load_prob_vectors(arg, n_nodes=graph.n_nodes)
 
         def lookup(sample, rng):
             if sample.index not in table:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from sourceset import conformal
-from sourceset.conformal import NominalLevels, SCORE_KINDS, required_hits
+from sourceset.conformal import NominalLevels, SCORE_KINDS
 from sourceset.diffusion import GenerativeConfig, sample_dataset
 from sourceset.estimators import build_estimator
 from sourceset.graph import Graph, graph_from_spec, spectral_radius
@@ -143,34 +143,44 @@ def _run_trial(graph: Graph, cfg: ExperimentConfig, estimator, lambda1: float | 
     pool_n = cfg.n_cal + cfg.n_test
     samples = sample_dataset(graph, cfg.generative, pool_n, cfg.seed,
                              lambda1=lambda1, seed_path=(_STREAM_DATA, trial))
-    # each probability vector is ranked once and shared by every cell
-    ranked = []
-    for i, sample in enumerate(samples):
-        probs = estimator(sample, substream(cfg.seed, _STREAM_EST, trial, i))
-        r = conformal.RankedProbs(probs)
-        ranked.append((r, r.positions(sample.sources)))
+    probs = [estimator(sample, substream(cfg.seed, _STREAM_EST, trial, i))
+             for i, sample in enumerate(samples)]
     perm = substream(cfg.seed, _STREAM_SPLIT, trial).permutation(pool_n)
-    cal = [ranked[i] for i in perm[:cfg.n_cal]]
-    test = [ranked[i] for i in perm[cfg.n_cal:]]
+    # repeated levels name the same cell; each cell is scored once
+    kinds, alphas, betas = (tuple(dict.fromkeys(levels))
+                            for levels in (cfg.score_kinds, cfg.alphas, cfg.betas))
 
-    results: dict[tuple[str, float, float], tuple[float, float]] = {}
-    for kind in cfg.score_kinds:
-        test_scores = [r.singleton_scores(kind) for r, _ in test]
-        for beta in cfg.betas:
-            cal_scores = np.asarray([r.shrunk_score(kind, pos, beta) for r, pos in cal])
-            needed = [required_hits(pos.size, beta) for _, pos in test]
-            for alpha in cfg.alphas:
-                q_hat = conformal.finite_sample_quantile(cal_scores, alpha)
-                included = 0
-                total_size = 0
-                for (_, pos), scores, need in zip(test, test_scores, needed):
-                    passing = scores <= q_hat
-                    total_size += int(np.count_nonzero(passing))
-                    hits = int(np.count_nonzero(passing[pos]))
-                    included += int(hits >= need)
-                results[(kind, alpha, beta)] = (
-                    included / cfg.n_test, total_size / cfg.n_test)
-    return results
+    def blocks(indices):
+        # each block is ranked once and shared by every cell
+        return conformal.ranked_blocks((probs[i], samples[i].sources) for i in indices)
+
+    cal_scores: dict[tuple[str, float], list[np.ndarray]] = {
+        (kind, beta): [] for kind in kinds for beta in betas}
+    for block in blocks(perm[:cfg.n_cal]):
+        for kind, beta in cal_scores:
+            cal_scores[kind, beta].append(block.shrunk_scores(kind, beta))
+    q_hats = {(kind, alpha, beta): conformal.finite_sample_quantile(
+                  np.concatenate(cal_scores[kind, beta]), alpha)
+              for kind in kinds for alpha in alphas for beta in betas}
+
+    # a node is in a test set iff its singleton score is <= q_hat, as in predict
+    included = dict.fromkeys(q_hats, 0)
+    total_size = dict.fromkeys(q_hats, 0)
+    for block in blocks(perm[cfg.n_cal:]):
+        closure_sizes = block.node_closure_sizes()
+        needed = {beta: block.required_hits(beta) for beta in betas}
+        for kind in kinds:
+            node_scores = block.scores(kind, closure_sizes)
+            source_scores = node_scores[block.source_rows, block.source_nodes]
+            for alpha in alphas:
+                for beta in betas:
+                    cell = (kind, alpha, beta)
+                    total_size[cell] += int(np.count_nonzero(node_scores <= q_hats[cell]))
+                    hits = np.bincount(block.source_rows[source_scores <= q_hats[cell]],
+                                       minlength=block.source_counts.size)
+                    included[cell] += int(np.count_nonzero(hits >= needed[beta]))
+    return {cell: (included[cell] / cfg.n_test, total_size[cell] / cfg.n_test)
+            for cell in q_hats}
 
 
 def run_experiment(cfg: ExperimentConfig, graph: Graph | None = None) -> TrialReport:

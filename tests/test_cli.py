@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sourceset.cli import main
 from sourceset.conformal import NominalLevels, calibrate, evaluate_set
@@ -64,6 +65,27 @@ class TestExitCodes:
         assert run("calibrate", "--data", str(data), "--score", "min",
                    "--alpha", "0.5", "--estimator", f"file:{probs}",
                    "--out", str(model)) == 1
+        assert not model.exists()
+
+    @pytest.mark.parametrize("header, message", [
+        ("", "line 1: expected 12 entries, got 15"),
+        ("# prob-vectors n_nodes=15\n", "n_nodes=15 but the graph has 12 nodes")])
+    def test_probability_rows_sized_for_another_graph_are_validation_error(
+            self, tmp_path, capsys, header, message):
+        data = tmp_path / "d.jsonl"
+        probs = tmp_path / "probs.txt"
+        model = tmp_path / "m.json"
+        assert run("simulate", "--graph", "complete:12", "--sigma-inf", "0.2",
+                   "--sources", "1,3", "--samples", "5", "--snapshots", "4",
+                   "--seed", "1", "--out", str(data)) == 0
+        row = " ".join(["0.5"] * 15)
+        probs.write_text(header + "".join(f"{i} {row}\n" for i in range(5)))
+        capsys.readouterr()
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.5", "--estimator", f"file:{probs}",
+                   "--out", str(model)) == 1
+        err = capsys.readouterr().err
+        assert f"{probs}: " in err and message in err
         assert not model.exists()
 
     def test_evaluate_without_predictions_is_validation_error(self, tmp_path, capsys):

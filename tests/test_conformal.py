@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from sourceset import conformal
 from sourceset.conformal import (
     SCORE_KINDS,
     ConformalModel,
@@ -26,6 +27,7 @@ from sourceset.conformal import (
     run_equivalence_checks,
     save_model,
     load_model,
+    ranked_blocks,
     set_score,
     shrink_set,
     singleton_scores,
@@ -384,6 +386,82 @@ class TestRankedProbs:
         assert ranked.singleton_scores("min").tolist() == [-0.5, -0.5, -0.2, -0.1]
 
 
+def block_rows_budget(monkeypatch, rows, n_nodes):
+    """Set the scoring block budget to `rows` rows of `n_nodes` probabilities."""
+    row_bytes = np.dtype(np.longdouble).itemsize * n_nodes
+    monkeypatch.setattr(conformal, "_SCORE_BLOCK_BYTES", rows * row_bytes)
+
+
+class TestRankedBlock:
+    """The block core against the value-based reference, bit for bit."""
+
+    LENGTHS = (9, 9, 9, 1, 1, 20, 9, 9, 1, 13, 13, 13, 13)
+
+    def samples(self, seed):
+        """Runs of mixed lengths; tie-heavy vectors with exact zeros of both
+        signs, and source lists with repeated ids."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for n in self.LENGTHS:
+            for _ in range(int(rng.integers(1, 9))):
+                probs = np.round(rng.random(n), int(rng.integers(1, 3)))
+                probs[rng.random(n) < 0.2] = 0.0
+                probs[rng.random(n) < 0.1] = -0.0
+                if not probs.any():
+                    probs[int(rng.integers(n))] = 0.5  # 'rec' needs positive mass
+                sources = rng.integers(0, n, size=int(rng.integers(1, n + 3)))
+                out.append((probs, sources.tolist()))
+        return out
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_scores_match_reference_bitwise(self, monkeypatch, rows):
+        if rows is not None:
+            block_rows_budget(monkeypatch, rows, 9)
+        samples = self.samples(21)
+        for kind in SCORE_KINDS:
+            for beta in (0.0, 0.1, 0.3, 0.5, 0.7):
+                reference = np.asarray([set_score(kind, p, shrink_set(p, y, beta))
+                                        for p, y in samples])
+                blocks = list(ranked_blocks(samples))
+                fast = np.concatenate([b.shrunk_scores(kind, beta) for b in blocks])
+                assert np.array_equal(fast.view(np.uint64), reference.view(np.uint64))
+        # a change of length closes a block
+        assert len(blocks) >= len(set(self.LENGTHS))
+
+    def test_node_scores_match_singleton_scores(self):
+        samples = self.samples(22)
+        for block in ranked_blocks(samples):
+            sizes = block.node_closure_sizes()
+            for kind in SCORE_KINDS:
+                scores = block.scores(kind, sizes)
+                for probs, row in zip(block.probs, scores):
+                    order, singles = singleton_scores(kind, probs)
+                    assert np.array_equal(row[order].view(np.uint64),
+                                          singles.view(np.uint64))
+
+    def test_q_hat_independent_of_block_size(self, monkeypatch):
+        samples = self.samples(23)
+        levels = [NominalLevels(alpha=a, beta=b) for a in (0.05, 0.2, 0.5)
+                  for b in (0.0, 0.3, 0.7)]
+        expected = {(kind, lv): calibrate(samples, kind, lv).q_hat
+                    for kind in SCORE_KINDS for lv in levels}
+        for rows in (1, 7):
+            block_rows_budget(monkeypatch, rows, 9)
+            for (kind, lv), q_hat in expected.items():
+                got = calibrate(iter(samples), kind, lv).q_hat
+                assert np.float64(got).view(np.uint64) == np.float64(q_hat).view(np.uint64)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([], "node set must be non-empty"),
+        ([0, 6], "node index out of range"),  # would alias row 6's node 0
+        ([-1], "node index out of range")])
+    def test_bad_source_set_in_row_5_of_9(self, bad, message):
+        samples = [(np.full(6, 0.5), [i % 6]) for i in range(9)]
+        samples[5] = (samples[5][0], bad)
+        with pytest.raises(ValueError, match=message):
+            calibrate(samples, "rec", NominalLevels(alpha=0.5))
+
+
 class TestNonFiniteInput:
     """NaN, +-inf and values outside [0, 1] are rejected rather than ranked:
     NaN sorts last and fails every comparison, which silently changed
@@ -399,6 +477,11 @@ class TestNonFiniteInput:
             RankedProbs(probs)
         with pytest.raises(ValueError, match="finite"):
             calibrate([(probs, [0])], "min", levels)
+        # the bad vector as row 5 of a 9-row block
+        samples = [(np.array([0.5, 0.4, 0.2]), [0])] * 9
+        samples[5] = (probs, [0])
+        with pytest.raises(ValueError, match="finite"):
+            calibrate(samples, "min", levels)
         with pytest.raises(ValueError, match="finite"):
             predict(model, probs)
         with pytest.raises(ValueError, match="finite"):

@@ -1,5 +1,7 @@
 """Estimator contracts: output invariants, determinism, and sanity of ranking."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -254,6 +256,17 @@ class TestProbVectorFiles:
         assert set(loaded) == {0, 3}
         for k in table:
             assert np.array_equal(loaded[k], table[k])
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("# prob-vectors n_nodes=3\nx 0.1 0.2 0.3\n", 2),
+        ("# prob-vectors n_nodes=3\n0 0.1 abc 0.3\n", 2),
+        ("# prob-vectors n_nodes=three\n0 0.1 0.2 0.3\n", 1),
+        ("0 0.1 0.2 0.3\n\n1 0.1 0.2\n", 3)])
+    def test_parse_errors_name_file_and_line(self, tmp_path, text, lineno):
+        path = tmp_path / "probs.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {lineno}: "):
+            load_prob_vectors(path, n_nodes=3)
 
     def test_file_estimator_lookup(self, tmp_path):
         g = complete_graph(6)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sourceset import experiment
+from sourceset import conformal, experiment
 from sourceset.conformal import NominalLevels, calibrate, evaluate_set, predict
 from sourceset.diffusion import GenerativeConfig, sample_dataset
 from sourceset.estimators import build_estimator
@@ -117,6 +117,36 @@ class TestRunExperiment:
         cell = report.cell("rec", 0.15, 0.4)
         assert cell.inclusion_rates[0] == np.mean(included)
         assert cell.set_sizes[0] == np.mean(sizes)
+
+    @pytest.mark.parametrize("estimator", ["oracle:1.0", "heuristic"])
+    def test_cells_independent_of_block_size(self, monkeypatch, estimator):
+        """Scoring blocks of 1 row, 7 rows or the default budget give the same
+        cells, float for float."""
+        cfg = small_config(n_trials=2, alphas=(0.05, 0.2), betas=(0.0, 0.3, 0.7),
+                           estimator=estimator)
+        graph = graph_from_spec(cfg.graph_spec, seed=cfg.graph_seed)
+        estimator_fn = build_estimator(cfg.estimator, graph)
+        expected = [experiment._run_trial(graph, cfg, estimator_fn, None, t)
+                    for t in range(cfg.n_trials)]
+        row_bytes = np.dtype(np.longdouble).itemsize * graph.n_nodes
+        for rows in (1, 7):
+            monkeypatch.setattr(conformal, "_SCORE_BLOCK_BYTES", rows * row_bytes)
+            for t in range(cfg.n_trials):
+                assert experiment._run_trial(graph, cfg, estimator_fn, None, t) == expected[t]
+
+    def test_repeated_levels_match_single_level_run(self):
+        """A level listed twice names one cell; it equals the run that lists
+        it once, float for float, and inclusion stays within [0, 1]."""
+        cfg = small_config(n_trials=2, score_kinds=("rec", "rec"), alphas=(0.1, 0.1),
+                           betas=(0.3, 0.3))
+        single = run_experiment(replace(cfg, score_kinds=("rec",), alphas=(0.1,),
+                                        betas=(0.3,)))
+        repeated = run_experiment(cfg)
+        want = single.cell("rec", 0.1, 0.3)
+        for cell in repeated.cells:
+            assert np.array_equal(cell.inclusion_rates, want.inclusion_rates)
+            assert np.array_equal(cell.set_sizes, want.set_sizes)
+            assert np.all(cell.inclusion_rates <= 1.0)
 
     def test_exchangeability_a_a_comparison(self):
         """Two different master seeds are an A/A pair: inclusion counts agree
