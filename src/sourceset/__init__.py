@@ -48,7 +48,6 @@ from sourceset.conformal import (
     ConformalModel,
     NominalLevels,
     PredictionSet,
-    RankedProbs,
     SetMetrics,
     bruteforce_prediction_set,
     calibrate,

@@ -175,7 +175,7 @@ def evaluate(sets_path, data_path, out_path):
     samples, _ = load_dataset(data_path)
     by_index = {s.index: s for s in samples}
     header = {}
-    rows = []
+    rows = {}
     for rec in read_jsonl(sets_path):
         if rec.get("record") == "header":
             header = rec
@@ -185,7 +185,10 @@ def evaluate(sets_path, data_path, out_path):
         idx = rec["index"]
         if idx not in by_index:
             raise click.ClickException(f"prediction for unknown sample {idx}")
-        rows.append((idx, np.asarray(rec["nodes"], dtype=np.int64)))
+        if idx in rows:
+            raise click.ClickException(
+                f"{sets_path}: duplicate prediction for sample {idx}")
+        rows[idx] = np.asarray(rec["nodes"], dtype=np.int64)
     if not rows:
         raise click.ClickException(f"{sets_path}: no predictions")
     beta = header.get("config", {}).get("beta")
@@ -195,7 +198,7 @@ def evaluate(sets_path, data_path, out_path):
     total_size = 0
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write("index,set_size,precision,recall,included\n")
-        for idx, nodes in rows:
+        for idx, nodes in rows.items():
             metrics = conformal.evaluate_set(nodes, by_index[idx].sources, beta)
             included += int(metrics.included)
             total_size += nodes.size

@@ -20,21 +20,20 @@ Score variants (all computed on the upward closure of the argument set):
     min: negative smallest probability in the closure.
 
 Numerical contract: the score formulas exist once (`_closure_scores`) and
-read two ranked views of a probability vector. `RankedProbs` ranks one
-vector (canonical order, sorted values, extended-precision prefix sums) for
-set_score, prediction and the brute-force oracle. `RankedBlock` ranks a
-block of equal-length rows with one row-wise sort and one row-wise
-extended-precision cumulative sum, for calibration and the experiment loop;
-a block's rows are capped so that its longdouble sums fit
+read one ranked view, `RankedBlock`: a block of equal-length rows ranked with
+one row-wise sort and one row-wise extended-precision cumulative sum.
+Calibration and the experiment loop rank blocks of samples; set_score,
+singleton_scores, prediction and the brute-force oracle rank a one-row block.
+A block's rows are capped so that its longdouble sums fit
 `_SCORE_BLOCK_BYTES`. Scores depend only on values, never on how ties are
-ordered (validation turns -0.0 into 0.0, the one tie whose members differ in
-bits), and both views sum each row sequentially, so a row of a block and
-the same vector ranked alone give bit-identical scores, and threshold
-comparisons see identical rounding on both sides. `shrink_set` and
-`upward_closure` stay value-based, as the reference the fast paths are
-tested against. Rank arithmetic like ceil((1-alpha)(n+1)) is computed with a
-small nudge so float products that represent exact integers do not
-overshoot.
+ordered (a block turns -0.0 into 0.0 in its sorted values, the one tie whose
+members differ in bits), and every row is summed sequentially, so a row of a
+block and the same vector ranked alone give bit-identical scores, and
+threshold comparisons see identical rounding on both sides. `shrink_set`,
+`upward_closure` and `probability_order` stay value-based, as the reference
+the block is tested against. Rank arithmetic like ceil((1-alpha)(n+1)) is
+computed with a small nudge so float products that represent exact integers
+do not overshoot.
 """
 
 from __future__ import annotations
@@ -99,12 +98,22 @@ class NominalLevels:
 
 @dataclass(frozen=True)
 class ConformalModel:
-    """Calibrated threshold for one (score kind, alpha, beta) setting."""
+    """Calibrated threshold for one (score kind, alpha, beta) setting.
+
+    q_hat = +inf is valid (the prediction set is every node); NaN and -inf
+    are rejected, since every set would silently come out empty.
+    """
 
     score: str
     levels: NominalLevels
     q_hat: float
     n_cal: int
+
+    def __post_init__(self):
+        if self.score not in SCORE_KINDS:
+            raise ValueError(f"unknown score kind {self.score!r}")
+        if math.isnan(self.q_hat) or self.q_hat == -math.inf:
+            raise ValueError(f"q_hat must be a number or +inf, got {self.q_hat!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,20 +147,17 @@ def _as_vector(probs) -> np.ndarray:
     return arr
 
 
-def _check_range(arr: np.ndarray, in_place: bool = False) -> np.ndarray:
-    lowest = arr.min()
+def _check_range(lowest, highest) -> None:
+    """Reject probabilities whose smallest or largest value is outside [0, 1]."""
     # NaN fails both comparisons and +-inf fails one, so this also rejects them
-    if not (lowest >= 0.0 and arr.max() <= 1.0):
+    if not (lowest >= 0.0 and highest <= 1.0):
         raise ValueError("probability vector must be finite and within [0, 1]")
-    if lowest != 0.0:
-        return arr
-    # -0.0 as 0.0, so no score depends on where a sort puts the two zeros
-    # among ties; a copy unless the caller owns `arr`
-    return np.add(arr, 0.0, out=arr if in_place else None)
 
 
 def _check_probs(probs) -> np.ndarray:
-    return _check_range(_as_vector(probs))
+    arr = _as_vector(probs)
+    _check_range(arr.min(), arr.max())
+    return arr
 
 
 def probability_order(probs: np.ndarray) -> np.ndarray:
@@ -163,114 +169,65 @@ def probability_order(probs: np.ndarray) -> np.ndarray:
     return np.argsort(-probs, kind="stable")
 
 
-def _at(values: np.ndarray, index):
-    """values[index] along the last axis; a 2-D block takes one row of indices
-    per block row."""
-    if values.ndim == 1:
-        return values[index]
-    return values[np.arange(len(values))[:, None], index]
+def _at(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """values[r, index[r]] for every row r of a C-contiguous block, read
+    through one flat index."""
+    rows, width = values.shape
+    return values.reshape(-1)[index + np.arange(0, rows * width, width)[:, None]]
 
 
-def _closure_scores(kind: str, sorted_vals: np.ndarray, prefix, closure_size):
+def _closure_scores(kind: str, ascending: np.ndarray, prefix, closure_size):
     """Scores of the closures holding the `closure_size` largest probabilities.
 
-    The one implementation of the score formulas, for a single vector and for
-    a block of rows alike. Along the last axis, `sorted_vals` holds the
-    probabilities in descending order and `prefix` their running sums after a
-    leading 0. A 1-D vector takes a size or an array of sizes; a 2-D block
-    takes a 2-D array with one row of sizes per block row. `prefix` is read
-    only by the mass-based kinds.
+    The one implementation of the score formulas. Each row of `ascending`
+    holds probabilities in ascending order, and the same row of `prefix`
+    their running sums in descending order after a leading 0; `closure_size`
+    holds one row of sizes per block row. `prefix` is read only by the
+    mass-based kinds.
     """
     if kind == "pre":
         return -(_at(prefix, closure_size) / closure_size)
     if kind == "rec":
-        if prefix.ndim == 1:
-            total = prefix[-1]
-            positive = total > 0.0
-        else:
-            total = prefix[:, -1:]
-            positive = total.min() > 0.0
-        if not positive:
+        total = prefix[:, -1:]
+        if not total.min() > 0.0:
             raise ValueError("'rec' score needs positive total probability mass")
         return _at(prefix, closure_size) / total
     if kind == "min":
-        return -_at(sorted_vals, closure_size - 1)
+        return -_at(ascending, ascending.shape[1] - closure_size)
     raise ValueError(f"unknown score kind {kind!r}")
 
 
-class RankedProbs:
-    """One probability vector ranked once, for every score evaluated on it.
-
-    Holds the canonical order, the probabilities in that order and their
-    prefix sums: prefix[k] is the sum of the k largest probabilities,
-    accumulated in extended precision so prefix evaluation agrees with a
-    direct sum to well under 1e-12 even for thousands of nodes. A closure is
-    a prefix of the order, so every score is a lookup into these arrays.
-    """
-
-    __slots__ = ("order", "sorted_vals", "prefix")
-
-    def __init__(self, probs):
-        probs = _check_probs(probs)
-        self.order = probability_order(probs)
-        self.sorted_vals = probs[self.order]
-        self.prefix = np.empty(probs.size + 1)
-        self.prefix[0] = 0.0
-        self.prefix[1:] = np.cumsum(self.sorted_vals,
-                                    dtype=np.longdouble).astype(np.float64)
-
-    def closure_sizes(self, thresholds):
-        """Number of probabilities >= threshold, for scalar or vector thresholds."""
-        return np.searchsorted(-self.sorted_vals, -np.asarray(thresholds), side="right")
-
-    def scores(self, kind: str, closure_size):
-        """Score of the closure(s) holding the `closure_size` largest probabilities."""
-        return _closure_scores(kind, self.sorted_vals, self.prefix, closure_size)
-
-    def positions(self, members) -> np.ndarray:
-        """Ascending positions of the node set `members` in the canonical order."""
-        members = check_node_set(members, self.order.size)
-        inverse = np.empty_like(self.order)
-        inverse[self.order] = np.arange(self.order.size)
-        return np.sort(inverse[members])
-
-    def shrunk_score(self, kind: str, positions: np.ndarray, beta: float) -> float:
-        """Score of shrink_set(probs, members, beta), given positions(members).
-
-        The shrunken set's smallest kept probability is its closure
-        threshold; beta = 0 scores the set itself.
-        """
-        keep = required_hits(positions.size, beta)
-        threshold = self.sorted_vals[positions[keep - 1]]
-        return float(self.scores(kind, int(self.closure_sizes(threshold))))
-
-    def singleton_scores(self, kind: str) -> np.ndarray:
-        """scores[j] is the score of {order[j]}; non-decreasing in j."""
-        return np.asarray(self.scores(kind, self.closure_sizes(self.sorted_vals)))
-
-
 class RankedBlock:
-    """Rows of one length N, each with its source set, ranked together.
+    """Rows of one length N, optionally each with its source set, ranked together.
 
-    The block form of RankedProbs: one sort and one row-wise extended
-    precision prefix sum serve every row. Row r's sorted values and prefix
-    sums equal RankedProbs(probs[r])'s bit for bit, because tie order changes
-    no value and the cumulative sum runs sequentially along each row. Scores
-    need only values, never positions, so no row is argsorted.
+    One sort and one row-wise extended precision prefix sum serve every row:
+    prefix[r, k] is the sum of the k largest probabilities of row r,
+    accumulated sequentially in extended precision, so prefix evaluation
+    agrees with a direct sum to well under 1e-12 even for thousands of nodes,
+    and a row's values and sums are the same bit for bit in any block. A
+    closure holds the largest values of its row, so every score is a lookup
+    into these arrays, and scores need only values, never positions.
 
-    Built by `ranked_blocks` from a (rows, N) float64 array it owns, which
-    the block keeps and may normalise in place, and one int64 node-id array
-    per row. Rows and source sets are checked with the
-    messages of RankedProbs and check_node_set. The source sets are stored
-    deduplicated and sorted by (row, node) in `source_rows` and
-    `source_nodes`, with `source_counts[r]` distinct sources in row r.
+    Built from a (rows, N) float64 array, which the block only reads, and,
+    for shrunk_scores, one int64 node-id array per row; ranked_blocks builds
+    blocks of samples and _ranked_row a block of one vector. Source sets are
+    checked with the messages of check_node_set and stored deduplicated and
+    sorted by (row, node) in `source_rows` and `source_nodes`, with
+    `source_counts[r]` distinct sources in row r.
     """
 
-    def __init__(self, probs: np.ndarray, sources: list[np.ndarray]):
+    def __init__(self, probs: np.ndarray, sources: list[np.ndarray] | None = None):
+        self.probs = probs
         rows, n = probs.shape
-        self.probs = probs = _check_range(probs, in_place=True)
-        self.sorted_vals = np.sort(probs, axis=1)[:, ::-1]
+        # -0.0 as 0.0, so no score depends on where the sort puts the two
+        # zeros among ties
+        self.ascending = probs + 0.0
+        self.ascending.sort(axis=1)
+        # NaN sorts last, so each row's ends bound all of its values
+        _check_range(self.ascending[:, 0].min(), self.ascending[:, -1].max())
         self._prefix = None
+        if sources is None:
+            return
         nodes = np.concatenate(sources)
         # before the keys are packed, so no id can alias a node of another row
         if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
@@ -293,13 +250,14 @@ class RankedBlock:
         if self._prefix is None:
             rows, n = self.probs.shape
             self._prefix = np.zeros((rows, n + 1))
-            self._prefix[:, 1:] = np.cumsum(self.sorted_vals, axis=1, dtype=np.longdouble)
+            self._prefix[:, 1:] = np.cumsum(self.ascending[:, ::-1], axis=1,
+                                            dtype=np.longdouble)
         return self._prefix
 
     def scores(self, kind: str, closure_size: np.ndarray) -> np.ndarray:
         """Scores for a 2-D array with one row of closure sizes per block row."""
         prefix = None if kind == "min" else self.prefix
-        return _closure_scores(kind, self.sorted_vals, prefix, closure_size)
+        return _closure_scores(kind, self.ascending, prefix, closure_size)
 
     def required_hits(self, beta: float) -> np.ndarray:
         """Per row, required_hits(source_counts[r], beta), same float arithmetic."""
@@ -315,17 +273,21 @@ class RankedBlock:
         """
         keep = self.required_hits(beta)
         threshold = self._source_desc[self._source_start + keep - 1]
-        sizes = np.count_nonzero(self.sorted_vals >= threshold[:, None], axis=1)
+        sizes = np.count_nonzero(self.ascending >= threshold[:, None], axis=1)
         return self.scores(kind, sizes[:, None])[:, 0]
 
     def node_closure_sizes(self) -> np.ndarray:
-        """(rows, N): the closure size of every node's singleton set."""
-        rows, n = self.probs.shape
-        ascending = self.sorted_vals[:, ::-1]
-        sizes = np.empty((rows, n), dtype=np.int64)
-        for r in range(rows):
-            sizes[r] = n - np.searchsorted(ascending[r], self.probs[r], side="left")
-        return sizes
+        """(rows, N): the closure size of every node's singleton set.
+
+        A value's closure holds every value from the first of its ties in
+        ascending order on. The sizes are read off along the ascending order
+        and put back to the nodes through a row-wise argsort, whose order
+        among ties is irrelevant because tied nodes share their size.
+        """
+        sizes = np.empty(self.probs.shape, dtype=np.int64)
+        for size, order, values in zip(sizes, self.probs.argsort(axis=1), self.ascending):
+            size[order] = values.searchsorted(values, side="left")
+        return np.subtract(self.probs.shape[1], sizes, out=sizes)
 
 
 def _block_rows(n_nodes: int) -> int:
@@ -376,6 +338,13 @@ def shrink_set(probs, members, beta: float) -> np.ndarray:
     return np.sort(members[order[:keep]])
 
 
+def _ranked_row(probs, members=None) -> RankedBlock:
+    """A one-row RankedBlock of a probability vector, with the source set
+    `members` when one is given."""
+    sources = None if members is None else [np.asarray(members, dtype=np.int64).ravel()]
+    return RankedBlock(_as_vector(probs)[None, :], sources)
+
+
 def set_score(kind: str, probs, members) -> float:
     """Monotone non-conformity score of a node set.
 
@@ -383,19 +352,20 @@ def set_score(kind: str, probs, members) -> float:
     scoring its closure give bit-identical results, and enlarging the
     closure can only increase the score.
     """
-    ranked = RankedProbs(probs)
-    return ranked.shrunk_score(kind, ranked.positions(members), 0.0)
+    return float(_ranked_row(probs, members).shrunk_scores(kind, 0.0)[0])
 
 
 def singleton_scores(kind: str, probs) -> tuple[np.ndarray, np.ndarray]:
     """Scores of every single-node set, evaluated along the canonical order.
 
-    Returns (order, scores) where scores[j] is the score of
-    {order[j]}. Computed once per probability vector in O(N log N); entries
-    are bit-identical to set_score(kind, probs, [order[j]]).
+    Returns (order, scores) where order is probability_order(probs) and
+    scores[j] is the score of {order[j]}, non-decreasing in j. Computed once
+    per probability vector in O(N log N); entries are bit-identical to
+    set_score(kind, probs, [order[j]]).
     """
-    ranked = RankedProbs(probs)
-    return ranked.order, ranked.singleton_scores(kind)
+    block = _ranked_row(probs)
+    order = probability_order(block.probs[0])
+    return order, block.scores(kind, block.node_closure_sizes())[0, order]
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +410,14 @@ def calibrate(samples, kind: str, levels: NominalLevels) -> ConformalModel:
 def predict(model: ConformalModel, probs) -> PredictionSet:
     """Nodes whose singleton score is within the calibrated threshold.
 
-    The singleton scores are non-decreasing along the canonical order, so the
-    result is a closure-prefix; an infinite threshold returns all nodes.
+    Each node's score is compared on its own, as in the experiment loop. The
+    singleton scores are non-decreasing as probability falls, so the result
+    is a closure-prefix; an infinite threshold returns all nodes.
     """
-    order, scores = singleton_scores(model.score, probs)
-    nodes = np.sort(order[scores <= model.q_hat])
-    return PredictionSet(nodes=nodes, threshold_used=model.q_hat)
+    block = _ranked_row(probs)
+    scores = block.scores(model.score, block.node_closure_sizes())[0]
+    return PredictionSet(nodes=(scores <= model.q_hat).nonzero()[0],
+                         threshold_used=model.q_hat)
 
 
 def evaluate_set(nodes, true_sources, beta: float) -> SetMetrics:
@@ -535,17 +507,17 @@ def bruteforce_prediction_set(probs, q_hat: float, kind: str) -> np.ndarray:
     exists to cross-check the O(N log N) prefix rule, which must produce the
     same set for every monotone score.
     """
-    probs = _check_probs(probs)
-    n = probs.size
+    block = _ranked_row(probs)
+    n = block.probs.shape[1]
     if n > _BRUTEFORCE_MAX_NODES:
         raise ValueError(f"brute force refuses N > {_BRUTEFORCE_MAX_NODES} nodes")
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
-    ranked = RankedProbs(probs)
     masks = np.arange(1, 1 << n, dtype=np.uint32)
     member_bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
-    thresholds = np.min(np.where(member_bits, probs[None, :], np.inf), axis=1)
-    scores = np.asarray(ranked.scores(kind, ranked.closure_sizes(thresholds)))
+    thresholds = np.min(np.where(member_bits, block.probs, np.inf), axis=1)
+    sizes = np.count_nonzero(block.ascending >= thresholds[:, None], axis=1)
+    scores = block.scores(kind, sizes[None, :])[0]
     included = [bool(np.min(scores[member_bits[:, v]]) <= q_hat) for v in range(n)]
     return np.flatnonzero(included)
 
@@ -579,12 +551,15 @@ def load_model(path) -> tuple[ConformalModel, dict]:
             header = rec
         elif rec.get("record") == "model":
             q = rec["q_hat"]
-            model = ConformalModel(
-                score=rec["score"],
-                levels=NominalLevels(alpha=rec["alpha"], beta=rec["beta"]),
-                q_hat=math.inf if q == "inf" else float(q),
-                n_cal=rec["n_cal"],
-            )
+            try:
+                model = ConformalModel(
+                    score=rec["score"],
+                    levels=NominalLevels(alpha=rec["alpha"], beta=rec["beta"]),
+                    q_hat=math.inf if q == "inf" else float(q),
+                    n_cal=rec["n_cal"],
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
     if model is None:
         raise ValueError(f"{path}: no model record found")
     return model, header

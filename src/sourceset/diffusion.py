@@ -262,6 +262,16 @@ class GenerativeConfig:
             raise ValueError("exactly one of r0 / sigma_inf must be given")
         if isinstance(self.t_first, str) and self.t_first != "auto":
             raise ValueError(f"t_first must be an integer or 'auto', got {self.t_first!r}")
+        # windows and source counts no sample can satisfy, rejected before
+        # any sample is simulated
+        for name in ("horizon", "n_snapshots", "stride", "t_first"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
+        counts = self.source_count if isinstance(self.source_count, (tuple, list)) \
+            else (self.source_count,)
+        if min(counts) < 1:
+            raise ValueError(f"source_count must be >= 1, got {self.source_count!r}")
 
     def to_dict(self) -> dict:
         return {

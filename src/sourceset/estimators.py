@@ -184,6 +184,8 @@ def load_prob_vectors(path, n_nodes: int | None = None) -> dict[int, np.ndarray]
                     continue
                 tokens = line.split()
                 idx = int(tokens[0])
+                if idx in vectors:
+                    raise ValueError(f"duplicate row for sample {idx}")
                 probs = np.asarray([float(t) for t in tokens[1:]], dtype=np.float64)
                 vectors[idx] = validate_prob_vector(probs, expected)
             except ValueError as exc:

@@ -88,6 +88,60 @@ class TestExitCodes:
         assert f"{probs}: " in err and message in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("override, field", [
+        ({"--t-first": "0", "--snapshots": "1"}, "t_first"),
+        ({"--t-first": "-2", "--snapshots": "1"}, "t_first"),
+        ({"--sources": "0"}, "source_count"),
+        ({"--sources": "0,3"}, "source_count"),
+        ({"--samples": "0", "--snapshots": "0"}, "n_snapshots"),
+        ({"--stride": "0"}, "stride"),
+        ({"--horizon": "0"}, "horizon")])
+    def test_window_or_source_count_without_valid_sample_is_validation_error(
+            self, tmp_path, capsys, override, field):
+        out = tmp_path / "d.jsonl"
+        options = {"--graph": "complete:12", "--sigma-inf": "0.3", "--sigma-rec": "0.1",
+                   "--seed": "1", "--samples": "5", "--out": str(out), **override}
+        assert run("simulate", *(t for kv in options.items() for t in kv)) == 1
+        assert f"{field} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, token", [
+        ("q_hat", "NaN"), ("q_hat", '"nan"'), ("q_hat", '"-inf"'),
+        ("q_hat", "-Infinity"), ("score", '"max"')])
+    def test_model_without_usable_threshold_is_validation_error(self, tmp_path, capsys,
+                                                                 field, token):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        sets = tmp_path / "sets.jsonl"
+        assert run(*simulate_args(data, samples=20)) == 0
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.2", "--out", str(model)) == 0
+        header, rec = model.read_text().splitlines()
+        rec = json.dumps({**json.loads(rec), field: "TOKEN"}).replace('"TOKEN"', token)
+        model.write_text(f"{header}\n{rec}\n")
+        capsys.readouterr()
+        assert run("predict", "--model", str(model), "--data", str(data),
+                   "--out", str(sets)) == 1
+        assert f"{model}: " in capsys.readouterr().err
+        assert not sets.exists()
+
+    def test_evaluate_duplicate_prediction_is_validation_error(self, tmp_path, capsys):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        sets, report = tmp_path / "sets.jsonl", tmp_path / "eval.csv"
+        assert run(*simulate_args(data, samples=10)) == 0
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.2", "--out", str(model)) == 0
+        assert run("predict", "--model", str(model), "--data", str(data),
+                   "--out", str(sets)) == 0
+        lines = sets.read_text().splitlines(keepends=True)
+        sets.write_text("".join(lines + lines[4:5]))
+        capsys.readouterr()
+        assert run("evaluate", "--sets", str(sets), "--data", str(data),
+                   "--out", str(report)) == 1
+        index = json.loads(lines[4])["index"]
+        err = capsys.readouterr().err
+        assert f"{sets}: duplicate prediction for sample {index}" in err
+        assert not report.exists()
+
     def test_evaluate_without_predictions_is_validation_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         sets = tmp_path / "sets.jsonl"
@@ -297,6 +351,17 @@ class TestSweepCommand:
         path.write_text(json.dumps({"graph_spec": "ba:40,2"}))
         assert run("sweep", "--config", str(path),
                    "--out-dir", str(tmp_path / "o")) == 1
+
+    def test_config_without_valid_sample_rejected(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["generative"]["n_snapshots"] = 0
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run("sweep", "--config", str(path), "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and "n_snapshots must be >= 1" in err
+        assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -15,7 +15,6 @@ from sourceset.conformal import (
     SCORE_KINDS,
     ConformalModel,
     NominalLevels,
-    RankedProbs,
     bruteforce_prediction_set,
     calibrate,
     crc_calibrate,
@@ -46,6 +45,24 @@ def direct_score(kind, probs, members):
     if kind == "rec":
         return float(np.sum(closure) / np.sum(probs))
     return -float(np.min(closure))
+
+
+def reference_set_score(kind, probs, members):
+    """set_score from the definitions, bit for bit: the upward closure's
+    probabilities in descending order, summed one after another in extended
+    precision as the prefix sums are, with -0.0 read as 0.0."""
+    probs = np.asarray(probs, dtype=np.float64) + 0.0
+    closure = np.sort(probs[upward_closure(probs, members)])[::-1]
+    if kind == "min":
+        return -closure[-1]
+    mass = float(np.cumsum(closure, dtype=np.longdouble)[-1])
+    if kind == "pre":
+        return -(mass / closure.size)
+    return mass / float(np.cumsum(np.sort(probs)[::-1], dtype=np.longdouble)[-1])
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
 
 
 def random_set(rng, n, max_size=None):
@@ -309,11 +326,14 @@ class TestCalibratePredict:
                 probs[probs == 0] = 0.05
             for kind in SCORE_KINDS:
                 order, scores = singleton_scores(kind, probs)
-                for j in range(n):
-                    assert scores[j] == set_score(kind, probs, [order[j]])
+                reference = [reference_set_score(kind, probs, [v]) for v in order]
+                assert np.array_equal(bits(scores), bits(reference))
+                single = [set_score(kind, probs, [v]) for v in order]
+                assert np.array_equal(bits(single), bits(reference))
 
     def test_calibration_scores_match_reference_bitwise_on_ties(self):
-        """calibrate's per-sample scores are set_score(shrink_set(...)) exactly.
+        """calibrate's per-sample scores are the reference scores of
+        shrink_set(...) exactly.
 
         Every rank of the calibration scores is read back through q_hat, with
         alpha = 1 - k/(n+1) selecting rank k.
@@ -328,14 +348,12 @@ class TestCalibratePredict:
         n_cal = len(samples)
         for kind in SCORE_KINDS:
             for beta in (0.0, 0.1, 0.3, 0.5, 0.7):
-                reference = np.asarray([set_score(kind, p, shrink_set(p, y, beta))
+                reference = np.asarray([reference_set_score(kind, p, shrink_set(p, y, beta))
                                         for p, y in samples])
-                fast = []
-                for p, y in samples:
-                    ranked = RankedProbs(p)
-                    fast.append(ranked.shrunk_score(kind, ranked.positions(y), beta))
-                assert np.array_equal(np.asarray(fast).view(np.uint64),
-                                      reference.view(np.uint64))
+                # each sample ranked alone, as a one-row block
+                fast = [next(ranked_blocks([(p, y)])).shrunk_scores(kind, beta)[0]
+                        for p, y in samples]
+                assert np.array_equal(bits(fast), bits(reference))
                 ranks = np.sort(reference)
                 for k in range(1, n_cal + 1):
                     levels = NominalLevels(alpha=1 - k / (n_cal + 1), beta=beta)
@@ -371,21 +389,6 @@ class TestCalibratePredict:
         assert checked > 20
 
 
-class TestRankedProbs:
-    def test_worked_example_with_ties(self):
-        ranked = RankedProbs([0.2, 0.5, 0.5, 0.1])
-        assert ranked.order.tolist() == [1, 2, 0, 3]
-        assert ranked.sorted_vals.tolist() == [0.5, 0.5, 0.2, 0.1]
-        assert ranked.closure_sizes(0.5) == 2
-        assert ranked.closure_sizes([0.2, 0.1]).tolist() == [3, 4]
-        positions = ranked.positions([3, 2, 3])
-        assert positions.tolist() == [1, 3]
-        # beta = 0.5 keeps node 2, whose closure is the tied pair {1, 2}
-        assert ranked.shrunk_score("pre", positions, 0.5) == -0.5
-        assert ranked.shrunk_score("min", positions, 0.0) == -0.1
-        assert ranked.singleton_scores("min").tolist() == [-0.5, -0.5, -0.2, -0.1]
-
-
 def block_rows_budget(monkeypatch, rows, n_nodes):
     """Set the scoring block budget to `rows` rows of `n_nodes` probabilities."""
     row_bytes = np.dtype(np.longdouble).itemsize * n_nodes
@@ -413,6 +416,23 @@ class TestRankedBlock:
                 out.append((probs, sources.tolist()))
         return out
 
+    def test_worked_example_with_ties(self):
+        probs = [0.2, 0.5, 0.5, 0.1]
+        block = next(ranked_blocks([(probs, [3, 2, 3])]))
+        assert block.ascending.tolist() == [[0.1, 0.2, 0.5, 0.5]]
+        # the tied pair {1, 2} closes together
+        assert block.node_closure_sizes().tolist() == [[3, 2, 2, 4]]
+        assert block.source_nodes.tolist() == [2, 3]
+        order, scores = singleton_scores("min", probs)
+        assert order.tolist() == [1, 2, 0, 3]
+        assert scores.tolist() == [-0.5, -0.5, -0.2, -0.1]
+        # the distinct sources sit at positions 1 and 3 of the canonical order
+        assert [order.tolist().index(v) for v in block.source_nodes] == [1, 3]
+        # beta = 0.5 keeps node 2, whose closure is the tied pair {1, 2}
+        assert block.shrunk_scores("pre", 0.5).tolist() == [-0.5]
+        assert block.shrunk_scores("min", 0.0).tolist() == [-0.1]
+        assert set_score("min", probs, [3, 2, 3]) == -0.1
+
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_scores_match_reference_bitwise(self, monkeypatch, rows):
         if rows is not None:
@@ -420,11 +440,11 @@ class TestRankedBlock:
         samples = self.samples(21)
         for kind in SCORE_KINDS:
             for beta in (0.0, 0.1, 0.3, 0.5, 0.7):
-                reference = np.asarray([set_score(kind, p, shrink_set(p, y, beta))
-                                        for p, y in samples])
+                reference = [reference_set_score(kind, p, shrink_set(p, y, beta))
+                             for p, y in samples]
                 blocks = list(ranked_blocks(samples))
                 fast = np.concatenate([b.shrunk_scores(kind, beta) for b in blocks])
-                assert np.array_equal(fast.view(np.uint64), reference.view(np.uint64))
+                assert np.array_equal(bits(fast), bits(reference))
         # a change of length closes a block
         assert len(blocks) >= len(set(self.LENGTHS))
 
@@ -435,9 +455,11 @@ class TestRankedBlock:
             for kind in SCORE_KINDS:
                 scores = block.scores(kind, sizes)
                 for probs, row in zip(block.probs, scores):
+                    reference = [reference_set_score(kind, probs, [v])
+                                 for v in range(probs.size)]
+                    assert np.array_equal(bits(row), bits(reference))
                     order, singles = singleton_scores(kind, probs)
-                    assert np.array_equal(row[order].view(np.uint64),
-                                          singles.view(np.uint64))
+                    assert np.array_equal(bits(row[order]), bits(singles))
 
     def test_q_hat_independent_of_block_size(self, monkeypatch):
         samples = self.samples(23)
@@ -474,7 +496,7 @@ class TestNonFiniteInput:
         levels = NominalLevels(alpha=0.5)
         model = ConformalModel("min", levels, -0.3, 1)
         with pytest.raises(ValueError, match="finite"):
-            RankedProbs(probs)
+            singleton_scores("min", probs)
         with pytest.raises(ValueError, match="finite"):
             calibrate([(probs, [0])], "min", levels)
         # the bad vector as row 5 of a 9-row block

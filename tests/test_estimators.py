@@ -261,7 +261,8 @@ class TestProbVectorFiles:
         ("# prob-vectors n_nodes=3\nx 0.1 0.2 0.3\n", 2),
         ("# prob-vectors n_nodes=3\n0 0.1 abc 0.3\n", 2),
         ("# prob-vectors n_nodes=three\n0 0.1 0.2 0.3\n", 1),
-        ("0 0.1 0.2 0.3\n\n1 0.1 0.2\n", 3)])
+        ("0 0.1 0.2 0.3\n\n1 0.1 0.2\n", 3),
+        ("0 0.1 0.2 0.3\n1 0.1 0.2 0.3\n0 0.3 0.2 0.1\n", 3)])
     def test_parse_errors_name_file_and_line(self, tmp_path, text, lineno):
         path = tmp_path / "probs.txt"
         path.write_text(text)

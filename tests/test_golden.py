@@ -1,0 +1,109 @@
+"""Golden SHA-256 digests of fixed-seed result files.
+
+The files are the desk-scale experiment reports and the 11 files of the two
+CLI chains that CI runs. A change that alters any of their bytes is either a
+deliberate, documented change of the results contract, which updates the
+digests in the same change, or a defect.
+
+Prefix sums run in np.longdouble, whose width depends on the platform (80-bit
+on x86-64 Linux, quad precision on aarch64 Linux, float64 on Windows and
+macOS arm64), so 'pre'/'rec' thresholds and the bytes built on them may
+differ between platforms. The digests are therefore keyed by the mantissa
+bits of np.longdouble, and a platform with no recorded key skips. The
+recorded digests come from x86-64 Linux with Python 3.11 and numpy 2.4.6.
+
+The CLI digest file is in `sha256sum` format with the paths CI uses, so CI
+checks the console-script chain against it with `sha256sum -c`.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sourceset.cli import main
+from sourceset.diffusion import GenerativeConfig
+from sourceset.experiment import ExperimentConfig, run_experiment, write_reports
+
+KEY = f"longdouble-nmant-{np.finfo(np.longdouble).nmant}"
+GOLDEN = Path(__file__).parent / "golden" / KEY
+
+# the desk generative configuration of the acceptance suite
+DESK_GEN = GenerativeConfig(source_count=(1, 10), r0=(1.0, 10.0),
+                            sigma_rec=(0.1, 0.4), n_snapshots=16)
+DESK_ESTIMATORS = ("heuristic", "oracle:1.0")
+
+
+def recorded(name: str) -> dict[str, str]:
+    """{path: digest} from a sha256sum-format file of the platform's key."""
+    path = GOLDEN / name
+    if not path.exists():
+        pytest.skip(f"no golden digests recorded for {KEY}")
+    table = {}
+    for line in path.read_text().splitlines():
+        digest, name = line.split("  ", 1)
+        table[name] = digest
+    return table
+
+
+def computed(root: Path) -> dict[str, str]:
+    """{"./relative/path": digest} of every file under root, as sha256sum
+    names them when run in root."""
+    return {f"./{p.relative_to(root).as_posix()}":
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def write_desk_reports(root: Path) -> None:
+    for estimator in DESK_ESTIMATORS:
+        cfg = ExperimentConfig.desk_scale("ba:200,3", DESK_GEN, estimator=estimator,
+                                          n_trials=5, seed=20240915)
+        label = estimator.replace(":", "-")
+        write_reports(run_experiment(cfg), root / f"{label}_trials.csv",
+                      root / f"{label}_summary.csv")
+
+
+def write_cli_chains(root: Path, monkeypatch) -> None:
+    """The two chains of CI's byte-determinism step, with the same relative
+    paths, so the files (and the paths their headers record) are the same."""
+
+    def chain(graph: str, sigma_inf: str, score: str) -> None:
+        sim = ["simulate", "--graph", graph, "--sigma-inf", sigma_inf,
+               "--sigma-rec", "0.1", "--sources", "1,3"]
+        for argv in ([*sim, "--samples", "200", "--seed", "7", "--out", "cal.jsonl"],
+                     [*sim, "--samples", "50", "--seed", "8", "--out", "test.jsonl"],
+                     ["calibrate", "--data", "cal.jsonl", "--score", score,
+                      "--alpha", "0.1", "--beta", "0.3", "--estimator", "heuristic",
+                      "--out", "model.json"],
+                     ["predict", "--model", "model.json", "--data", "test.jsonl",
+                      "--out", "sets.jsonl"],
+                     ["evaluate", "--sets", "sets.jsonl", "--data", "test.jsonl",
+                      "--out", "eval.csv"]):
+            assert main(argv) == 0, argv
+
+    monkeypatch.chdir(root)
+    chain("complete:20", "0.25", "rec")
+    (root / "file").mkdir()
+    monkeypatch.chdir(root / "file")
+    # a ring plus chords, an isolated node 30 from the directive, a reversed
+    # duplicate and a self-loop line
+    lines = ["# nodes: 31"]
+    for i in range(30):
+        lines += [f"{i} {(i + 1) % 30}", f"{i} {(i + 7) % 30}"]
+    lines += ["1 0", "4 4"]
+    Path("graph.edges").write_text("".join(line + "\n" for line in lines))
+    chain("file:graph.edges", "0.3", "min")
+
+
+class TestGoldenDigests:
+    def test_desk_reports(self, tmp_path):
+        expected = recorded("desk_reports.sha256")
+        write_desk_reports(tmp_path)
+        assert computed(tmp_path) == expected
+
+    def test_cli_chains(self, tmp_path, monkeypatch):
+        expected = recorded("cli_chain.sha256")
+        write_cli_chains(tmp_path, monkeypatch)
+        assert len(expected) == 11
+        assert computed(tmp_path) == expected
