@@ -19,7 +19,7 @@ import numpy as np
 from sourceset import conformal, experiment
 from sourceset.conformal import NominalLevels
 from sourceset.diffusion import GenerativeConfig, load_dataset, sample_dataset, save_dataset
-from sourceset.estimators import build_estimator
+from sourceset.estimators import build_estimator, estimate_blocks
 from sourceset.graph import graph_from_spec
 from sourceset.util import substream, write_jsonl_header, read_jsonl
 
@@ -101,6 +101,17 @@ def _header_graph(header: dict, what: str):
     return graph_from_spec(spec, seed=config.get("graph_seed", 0)), config
 
 
+def _estimates(spec: str, graph, samples, seed: int):
+    """(sample, probability vector) pairs in order, estimated block by block
+    as they are consumed; a sample's estimator stream is substream(seed,
+    sample index). The estimator is built, and its spec checked, at the call."""
+    estimator = build_estimator(spec, graph)
+    blocks = estimate_blocks(spec, graph, estimator, samples,
+                             lambda sample: substream(seed, sample.index))
+    return ((s, probs) for block, block_probs in blocks
+            for s, probs in zip(block, block_probs))
+
+
 @cli.command()
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--score", type=click.Choice(conformal.SCORE_KINDS), required=True)
@@ -119,8 +130,9 @@ def calibrate(data_path, score, alpha, beta, estimator_spec, seed, out_path):
         raise click.ClickException(f"{data_path}: no samples")
     graph, graph_config = _header_graph(header, "dataset")
     _check_node_counts(samples, graph, graph_config["graph_spec"], data_path)
-    estimator = build_estimator(estimator_spec, graph)
-    pairs = [(estimator(s, substream(seed, s.index)), s.sources) for s in samples]
+    # estimated block by block as calibrate consumes them
+    pairs = ((probs, s.sources)
+             for s, probs in _estimates(estimator_spec, graph, samples, seed))
     levels = NominalLevels(alpha=alpha, beta=beta)
     model = conformal.calibrate(pairs, score, levels)
     config = {"estimator": estimator_spec, "estimator_seed": seed,
@@ -148,15 +160,14 @@ def predict(model_path, data_path, out_path):
     samples, _ = load_dataset(data_path)
     graph, model_config = _header_graph(model_header, "model")
     _check_node_counts(samples, graph, model_config["graph_spec"], data_path)
-    estimator = build_estimator(estimator_spec, graph)
     est_seed = model_config.get("estimator_seed", 0)
+    estimates = _estimates(estimator_spec, graph, samples, est_seed)
     config = {"model": str(model_path), "data": str(data_path),
               "score": model.score, "alpha": model.levels.alpha,
               "beta": model.levels.beta, **model_config}
     with open(out_path, "w", encoding="utf-8") as fh:
         write_jsonl_header(fh, "predictions", est_seed, config)
-        for s in samples:
-            probs = estimator(s, substream(est_seed, s.index))
+        for s, probs in estimates:
             pset = conformal.predict(model, probs)
             rec = {"record": "prediction", "index": s.index,
                    "size": pset.size, "nodes": pset.nodes.tolist()}

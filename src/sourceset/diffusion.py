@@ -22,6 +22,12 @@ the source count, sigma_rec, r0 (or sigma_inf), the source set, then the
 uniform block of shape (t_last, n_nodes), t_last being the last observed
 instant. A sample is therefore the same for every chunk size, and equals
 `simulate` run on its substream right after the source set is drawn.
+
+Observed windows. `sample_dataset` gathers the observed window of every row
+of a chunk in one index, a time-major (rows, n_snapshots, n_nodes) array; a
+sample's `SnapshotMatrix.statuses` is the transposed (n_nodes, n_snapshots)
+view of its row, the layout `load_dataset` also produces. `Trajectory` and
+`observe` are for single cascades from `simulate`; datasets do not use them.
 """
 
 from __future__ import annotations
@@ -118,7 +124,7 @@ class SnapshotMatrix:
     def __post_init__(self):
         if self.times.size < 1:
             raise ValueError("need at least one snapshot")
-        if np.any(np.diff(self.times) <= 0):
+        if (self.times[1:] <= self.times[:-1]).any():
             raise ValueError("observation times must be strictly increasing")
 
     @property
@@ -374,6 +380,7 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
     n = graph.n_nodes
     longest = _window_end(gen, gen.t_first if isinstance(gen.t_first, int) else 2)
     chunk = max(1, SIM_CHUNK_BYTES // (8 * n * longest))
+    offsets = gen.stride * np.arange(gen.n_snapshots)
     # one uniform buffer serves every chunk; 1.0 freezes a row past its end
     block = np.empty((min(chunk, n_samples), longest, n))
     samples = []
@@ -393,9 +400,11 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
         statuses = simulate_batch(
             graph, start, [params.sigma_inf for _, _, params, _ in drawn],
             [params.sigma_rec for _, _, params, _ in drawn], uniforms)
-        for r, (_, sources, params, t_first) in enumerate(drawn):
-            traj = Trajectory(statuses=statuses[r, :params.horizon + 1], sources=sources)
-            x = observe(traj, t_first, gen.n_snapshots, gen.stride)
+        # every row's observed window in one gather: (rows, n_snapshots, n)
+        times = np.array([t_first for *_, t_first in drawn])[:, None] + offsets
+        window = statuses[np.arange(rows)[:, None], times]
+        for r, (_, sources, params, _) in enumerate(drawn):
+            x = SnapshotMatrix(statuses=window[r].T, times=times[r])
             samples.append(LabeledSample(index=lo + r, x=x, sources=sources,
                                          params=params))
     return samples
@@ -455,22 +464,38 @@ def save_dataset(samples: list[LabeledSample], path, seed, config: dict) -> None
 
 
 def load_dataset(path) -> tuple[list[LabeledSample], dict]:
-    """Read a dataset file; returns (samples, header)."""
+    """Read a dataset file; returns (samples, header).
+
+    Sample indices must be distinct non-negative integers: they key the
+    per-sample estimator streams, and a repeated index would be calibrated
+    and predicted twice.
+    """
     header: dict = {}
     samples: list[LabeledSample] = []
+    indices: set = set()
     for rec in read_jsonl(path):
         if rec.get("record") == "header":
             header = rec
             continue
         if rec.get("record") != "sample":
             raise ValueError(f"{path}: unexpected record {rec.get('record')!r}")
+        index = rec.get("index")
+        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+            raise ValueError(f"{path}: sample index {index!r} is not a "
+                             f"non-negative integer")
+        if index in indices:
+            raise ValueError(f"{path}: duplicate record for sample {index}")
+        indices.add(index)
+        where = f"{path}: sample {index}"
         times = np.asarray(rec["times"], dtype=np.int64)
-        statuses = _parse_statuses(rec["status"], times.size,
-                                   f"{path}: sample {rec.get('index')}")
-        x = SnapshotMatrix(statuses=statuses, times=times)
-        params = SirParams(sigma_inf=rec["sigma_inf"], sigma_rec=rec["sigma_rec"],
-                           horizon=rec["horizon"], r0=rec.get("r0"))
+        statuses = _parse_statuses(rec["status"], times.size, where)
+        try:
+            x = SnapshotMatrix(statuses=statuses, times=times)
+            params = SirParams(sigma_inf=rec["sigma_inf"], sigma_rec=rec["sigma_rec"],
+                               horizon=rec["horizon"], r0=rec.get("r0"))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         samples.append(LabeledSample(
-            index=rec["index"], x=x,
+            index=index, x=x,
             sources=np.asarray(rec["sources"], dtype=np.int64), params=params))
     return samples, header

@@ -9,7 +9,8 @@ aggregate over trials with mean and standard error.
 Substream layout under the master seed:
     (0, trial, i)  dataset sample i of a trial
     (1, trial)     calibration/test split permutation
-    (2, trial, i)  estimator randomness for sample i
+    (2, trial, i)  estimator randomness for sample i, created only for the
+                   estimators that draw from it ("oracle:", "mc:")
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from sourceset import conformal
 from sourceset.conformal import NominalLevels, SCORE_KINDS
 from sourceset.diffusion import GenerativeConfig, sample_dataset
-from sourceset.estimators import build_estimator
+from sourceset.estimators import build_estimator, estimate_blocks
 from sourceset.graph import Graph, graph_from_spec, spectral_radius
 from sourceset.util import config_hash, substream, VERSION, TOOL_NAME
 
@@ -143,8 +144,10 @@ def _run_trial(graph: Graph, cfg: ExperimentConfig, estimator, lambda1: float | 
     pool_n = cfg.n_cal + cfg.n_test
     samples = sample_dataset(graph, cfg.generative, pool_n, cfg.seed,
                              lambda1=lambda1, seed_path=(_STREAM_DATA, trial))
-    probs = [estimator(sample, substream(cfg.seed, _STREAM_EST, trial, i))
-             for i, sample in enumerate(samples)]
+    probs = [row for _, block_probs in estimate_blocks(
+                 cfg.estimator, graph, estimator, samples,
+                 lambda sample: substream(cfg.seed, _STREAM_EST, trial, sample.index))
+             for row in block_probs]
     perm = substream(cfg.seed, _STREAM_SPLIT, trial).permutation(pool_n)
     # repeated levels name the same cell; each cell is scored once
     kinds, alphas, betas = (tuple(dict.fromkeys(levels))

@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from sourceset import cli as cli_module
 from sourceset.cli import main
 from sourceset.conformal import NominalLevels, calibrate, evaluate_set
 from sourceset.conformal import predict as conformal_predict
 from sourceset.diffusion import load_dataset
-from sourceset.estimators import build_estimator
+from sourceset.estimators import build_estimator, save_prob_vectors
 from sourceset.graph import graph_from_spec
 from sourceset.util import read_jsonl, substream, write_jsonl_header
 
@@ -141,6 +142,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{sets}: duplicate prediction for sample {index}" in err
         assert not report.exists()
+
+    def test_repeated_dataset_record_is_validation_error(self, tmp_path, capsys):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        sets = tmp_path / "sets.jsonl"
+        assert run(*simulate_args(data, samples=5)) == 0
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.2", "--out", str(model)) == 0
+        assert run("predict", "--model", str(model), "--data", str(data),
+                   "--out", str(sets)) == 0
+        lines = data.read_text().splitlines(keepends=True)
+        data.write_text("".join(lines + lines[2:3]))
+        index = json.loads(lines[2])["index"]
+        outputs = [tmp_path / name for name in ("m2.json", "sets2.jsonl", "eval.csv")]
+        for argv, out in zip((
+                ("calibrate", "--data", str(data), "--score", "rec", "--alpha", "0.2"),
+                ("predict", "--model", str(model), "--data", str(data)),
+                ("evaluate", "--sets", str(sets), "--data", str(data))), outputs):
+            capsys.readouterr()
+            assert run(*argv, "--out", str(out)) == 1, argv
+            assert f"{data}: duplicate record for sample {index}" in \
+                capsys.readouterr().err
+            assert not out.exists()
 
     def test_evaluate_without_predictions_is_validation_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -307,6 +330,44 @@ class TestPipeline:
         assert run("predict", "--model", str(model), "--data", str(test),
                    "--out", str(again)) == 0
         assert sets.read_bytes() == again.read_bytes()
+
+
+class TestEstimatorSubstreams:
+    """Calibrate and predict create the per-sample estimator substream only
+    for estimators that draw from it; streams are keyed by path, so skipping
+    it changes no draw."""
+
+    @pytest.fixture
+    def created(self, monkeypatch):
+        paths = []
+
+        def recording(seed, *path):
+            paths.append((seed, *path))
+            return substream(seed, *path)
+
+        monkeypatch.setattr(cli_module, "substream", recording)
+        return paths
+
+    @pytest.mark.parametrize("spec", ["heuristic", "file", "oracle:0.3"])
+    def test_calibrate_and_predict(self, tmp_path, created, spec):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        assert run(*simulate_args(data, samples=12)) == 0
+        indices = [s.index for s in load_dataset(data)[0]]
+        if spec == "file":
+            rng = np.random.default_rng(3)
+            save_prob_vectors({i: rng.random(20) for i in indices}, 20,
+                              tmp_path / "p.txt")
+            spec = f"file:{tmp_path / 'p.txt'}"
+        assert run("calibrate", "--data", str(data), "--score", "rec", "--alpha",
+                   "0.2", "--estimator", spec, "--seed", "4", "--out", str(model)) == 0
+        random = spec.startswith("oracle:")
+        assert created == ([(4, i) for i in indices] if random else [])
+        if spec.startswith("file:"):
+            return  # predict refuses file: models
+        created.clear()
+        assert run("predict", "--model", str(model), "--data", str(data),
+                   "--out", str(tmp_path / "sets.jsonl")) == 0
+        assert created == ([(4, i) for i in indices] if random else [])
 
 
 class TestSweepCommand:

@@ -295,9 +295,10 @@ class TestSampleDataset:
             sample_dataset(g, gen, 10, seed=3, lambda1=lambda1)
         assert f"{40.0 * 0.4 / lambda1:.6g}" in str(info.value)
 
-    def test_chunk_size_changes_no_sample(self, monkeypatch):
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_chunk_size_changes_no_sample(self, monkeypatch, stride):
         g = barabasi_albert_graph(40, 2, seed=1)
-        gen = self.gen(source_count=(1, 8))
+        gen = self.gen(source_count=(1, 8), stride=stride)
         default = sample_dataset(g, gen, 23, seed=6)
         # uniform bytes of one row: the window ends at t_first = 2 at most
         row_bytes = 8 * g.n_nodes * (2 + (gen.n_snapshots - 1) * gen.stride)
@@ -311,12 +312,14 @@ class TestSampleDataset:
                 assert np.array_equal(a.x.times, b.x.times)
                 assert np.array_equal(a.x.statuses, b.x.statuses)
 
-    def test_sample_equals_simulate_on_its_substream(self):
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_sample_equals_simulate_on_its_substream(self, stride):
         # the documented draw order: source count, sigma_rec, r0, sources,
         # then the uniform block that simulate draws
         g = barabasi_albert_graph(40, 2, seed=1)
         lambda1 = spectral_radius(g)
-        gen = self.gen(source_count=(1, 5), r0=(1.0, 8.0), sigma_rec=(0.1, 0.4))
+        gen = self.gen(source_count=(1, 5), r0=(1.0, 8.0), sigma_rec=(0.1, 0.4),
+                       stride=stride)
         samples = sample_dataset(g, gen, 12, seed=5, lambda1=lambda1,
                                  seed_path=(0, 3))
         for s in samples:
@@ -427,3 +430,34 @@ class TestDatasetCodec:
         index = self.edit_sample(path, 4, lambda rec: rec["status"].pop())
         with pytest.raises(ValueError, match=f"sample {index}: 2 status strings"):
             load_dataset(path)
+
+    @pytest.mark.parametrize("times", [[1, 3, 3], [3, 2, 4], [2, 1, 0]])
+    def test_observation_times_must_increase(self, tmp_path, times):
+        path = self.dataset(tmp_path)
+        index = self.edit_sample(path, 2, lambda rec: rec.__setitem__("times", times))
+        with pytest.raises(ValueError, match=f"sample {index}: .*strictly increasing"):
+            load_dataset(path)
+
+    def test_rate_out_of_range_names_the_sample(self, tmp_path):
+        path = self.dataset(tmp_path)
+        index = self.edit_sample(path, 3, lambda rec: rec.__setitem__("sigma_rec", 1.5))
+        with pytest.raises(ValueError, match=f"sample {index}: sigma_rec must be"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("bad", ["1", 1.5, -1, True, None, [1]])
+    def test_sample_index_must_be_a_non_negative_integer(self, tmp_path, bad):
+        path = self.dataset(tmp_path)
+        self.edit_sample(path, 2, lambda rec: rec.__setitem__("index", bad))
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == \
+            f"{path}: sample index {bad!r} is not a non-negative integer"
+
+    def test_repeated_sample_index_names_file_and_index(self, tmp_path):
+        path = self.dataset(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + lines[2:3]))
+        index = json.loads(lines[2])["index"]
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: duplicate record for sample {index}"

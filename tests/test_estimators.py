@@ -13,14 +13,18 @@ from sourceset.diffusion import (
     LabeledSample,
     SirParams,
     SnapshotMatrix,
+    load_dataset,
     observe,
     sample_dataset,
+    save_dataset,
     simulate,
 )
 from sourceset.estimators import (
     PROB_FLOOR,
     build_estimator,
+    estimate_blocks,
     estimate_heuristic,
+    estimate_heuristic_batch,
     estimate_monte_carlo,
     estimate_oracle,
     load_prob_vectors,
@@ -137,6 +141,29 @@ class TestHeuristic:
         assert any(s.x.statuses[40:, 0].any() for s in samples)
         for s in samples:
             assert np.array_equal(estimate_heuristic(s.x, g), reference_heuristic(s.x, g))
+
+    @pytest.mark.parametrize("rows", [1, 7, estimators.ESTIMATE_BLOCK_ROWS])
+    def test_batch_rows_match_per_node_reference_bitwise(self, tmp_path, rows):
+        # the graph of test_matches_per_node_reference_bitwise; samples as
+        # simulated (transposed views of one window per chunk) and as read back
+        ba = barabasi_albert_graph(40, 2, seed=5)
+        g = build_graph(45, ba.edge_set())
+        samples = random_samples(g, 120, seed=8, source_count=(1, 6), t_first=1)
+        assert any(s.x.statuses[40:, 0].any() for s in samples)
+        save_dataset(samples, tmp_path / "d.jsonl", 8, {})
+        loaded, _ = load_dataset(tmp_path / "d.jsonl")
+        for group in (samples, loaded):
+            for lo in range(0, len(group), rows):
+                block = group[lo:lo + rows]
+                probs = estimate_heuristic_batch(
+                    np.stack([s.x.statuses.T for s in block]), g)
+                assert probs.shape == (len(block), g.n_nodes)
+                for s, row in zip(block, probs, strict=True):
+                    assert np.array_equal(row, reference_heuristic(s.x, g))
+
+    def test_batch_rejects_snapshots_of_another_graph(self):
+        with pytest.raises(ValueError, match="cover 5 nodes, graph has 6"):
+            estimate_heuristic_batch(np.zeros((2, 3, 5), dtype=np.int8), path_graph(6))
 
     def test_output_contract_fuzz(self):
         g = barabasi_albert_graph(30, 2, seed=5)
@@ -285,6 +312,59 @@ class TestProbVectorFiles:
                                 params=sample.params)
         with pytest.raises(KeyError):
             est(missing, None)
+
+
+class TestEstimateBlocks:
+    def samples(self, g):
+        # two window lengths, so that a change of length starts a block
+        return (random_samples(g, 20, seed=4, n_snapshots=4)
+                + random_samples(g, 13, seed=5, n_snapshots=3))
+
+    def blocks(self, spec, g, samples, seed=6):
+        created = []
+
+        def rng_of(sample):
+            created.append(sample.index)
+            return substream(seed, sample.index)
+
+        blocks = list(estimate_blocks(spec, g, build_estimator(spec, g), samples,
+                                      rng_of))
+        return blocks, created
+
+    @pytest.mark.parametrize("spec", ["heuristic", "oracle:0.4", "mc:2", "file"])
+    def test_rows_equal_per_sample_calls(self, tmp_path, spec):
+        g = barabasi_albert_graph(30, 2, seed=3)
+        samples = self.samples(g)
+        if spec == "file":
+            rng = np.random.default_rng(1)
+            save_prob_vectors({i: rng.random(30) for i in range(20)}, 30,
+                              tmp_path / "p.txt")
+            spec = f"file:{tmp_path / 'p.txt'}"
+            samples = samples[:20]
+        blocks, created = self.blocks(spec, g, samples)
+        runs = (20,) if spec.startswith("file:") else (20, 13)
+        most = estimators.ESTIMATE_BLOCK_ROWS
+        assert [len(block) for block, _ in blocks] == \
+            [min(most, run - lo) for run in runs for lo in range(0, run, most)]
+        assert [s for block, _ in blocks for s in block] == samples
+        estimator = build_estimator(spec, g)
+        for block, probs in blocks:
+            assert probs.shape == (len(block), 30)
+            for s, row in zip(block, probs, strict=True):
+                assert np.array_equal(row, estimator(s, substream(6, s.index)))
+        # only estimators that draw from it get a per-sample rng
+        random = spec.startswith(("oracle:", "mc:"))
+        assert created == ([s.index for s in samples] if random else [])
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_size_changes_no_row(self, monkeypatch, rows):
+        g = barabasi_albert_graph(30, 2, seed=3)
+        samples = self.samples(g)
+        default = np.concatenate([p for _, p in self.blocks("heuristic", g, samples)[0]])
+        monkeypatch.setattr(estimators, "ESTIMATE_BLOCK_ROWS", rows)
+        blocks, _ = self.blocks("heuristic", g, samples)
+        assert max(len(block) for block, _ in blocks) == rows
+        assert np.array_equal(np.concatenate([p for _, p in blocks]), default)
 
 
 class TestBuildEstimator:

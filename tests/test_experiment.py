@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sourceset import conformal, experiment
+from sourceset import conformal, estimators, experiment
 from sourceset.conformal import NominalLevels, calibrate, evaluate_set, predict
 from sourceset.diffusion import GenerativeConfig, sample_dataset
-from sourceset.estimators import build_estimator
+from sourceset.estimators import build_estimator, save_prob_vectors
 from sourceset.experiment import (
     ExperimentConfig,
     run_experiment,
@@ -120,8 +120,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("estimator", ["oracle:1.0", "heuristic"])
     def test_cells_independent_of_block_size(self, monkeypatch, estimator):
-        """Scoring blocks of 1 row, 7 rows or the default budget give the same
-        cells, float for float."""
+        """Estimating and scoring blocks of 1 row, 7 rows or the defaults give
+        the same cells, float for float."""
         cfg = small_config(n_trials=2, alphas=(0.05, 0.2), betas=(0.0, 0.3, 0.7),
                            estimator=estimator)
         graph = graph_from_spec(cfg.graph_spec, seed=cfg.graph_seed)
@@ -131,8 +131,31 @@ class TestRunExperiment:
         row_bytes = np.dtype(np.longdouble).itemsize * graph.n_nodes
         for rows in (1, 7):
             monkeypatch.setattr(conformal, "_SCORE_BLOCK_BYTES", rows * row_bytes)
+            monkeypatch.setattr(estimators, "ESTIMATE_BLOCK_ROWS", rows)
             for t in range(cfg.n_trials):
                 assert experiment._run_trial(graph, cfg, estimator_fn, None, t) == expected[t]
+
+    @pytest.mark.parametrize("spec", ["heuristic", "file", "oracle:0.5"])
+    def test_estimator_substream_only_for_estimators_that_draw(self, monkeypatch,
+                                                                tmp_path, spec):
+        cfg = small_config(n_trials=2, n_cal=20, n_test=10)
+        if spec == "file":
+            rng = np.random.default_rng(2)
+            save_prob_vectors({i: rng.random(60) for i in range(30)}, 60,
+                              tmp_path / "p.txt")
+            spec = f"file:{tmp_path / 'p.txt'}"
+        created = []
+
+        def recording(seed, *path):
+            created.append(path)
+            return substream(seed, *path)
+
+        monkeypatch.setattr(experiment, "substream", recording)
+        run_experiment(replace(cfg, estimator=spec))
+        estimator_paths = [path for path in created if path[0] == 2]
+        expected = [(2, trial, i) for trial in range(2) for i in range(30)]
+        assert estimator_paths == (expected if spec.startswith("oracle:") else [])
+        assert [path for path in created if path[0] != 2] == [(1, 0), (1, 1)]
 
     def test_repeated_levels_match_single_level_run(self):
         """A level listed twice names one cell; it equals the run that lists

@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of fixed-seed result files.
 
-The files are the desk-scale experiment reports and the 11 files of the two
+The files are the desk-scale experiment reports and the 13 files of the two
 CLI chains that CI runs. A change that alters any of their bytes is either a
 deliberate, documented change of the results contract, which updates the
 digests in the same change, or a defect.
@@ -32,7 +32,10 @@ GOLDEN = Path(__file__).parent / "golden" / KEY
 # the desk generative configuration of the acceptance suite
 DESK_GEN = GenerativeConfig(source_count=(1, 10), r0=(1.0, 10.0),
                             sigma_rec=(0.1, 0.4), n_snapshots=16)
-DESK_ESTIMATORS = ("heuristic", "oracle:1.0")
+# (estimator, overrides of the desk preset); mc:2 runs one small trial, so
+# that a seeded estimator is covered at well under a second
+DESK_RUNS = (("heuristic", {}), ("oracle:1.0", {}),
+             ("mc:2", {"n_trials": 1, "n_cal": 100, "n_test": 50}))
 
 
 def recorded(name: str) -> dict[str, str]:
@@ -56,9 +59,10 @@ def computed(root: Path) -> dict[str, str]:
 
 
 def write_desk_reports(root: Path) -> None:
-    for estimator in DESK_ESTIMATORS:
+    for estimator, overrides in DESK_RUNS:
         cfg = ExperimentConfig.desk_scale("ba:200,3", DESK_GEN, estimator=estimator,
-                                          n_trials=5, seed=20240915)
+                                          **{"n_trials": 5, "seed": 20240915,
+                                             **overrides})
         label = estimator.replace(":", "-")
         write_reports(run_experiment(cfg), root / f"{label}_trials.csv",
                       root / f"{label}_summary.csv")
@@ -84,6 +88,13 @@ def write_cli_chains(root: Path, monkeypatch) -> None:
 
     monkeypatch.chdir(root)
     chain("complete:20", "0.25", "rec")
+    # a seeded estimator on the same data: one substream per sample index
+    for argv in (["calibrate", "--data", "cal.jsonl", "--score", "pre",
+                  "--alpha", "0.1", "--beta", "0.3", "--estimator", "oracle:0.5",
+                  "--seed", "5", "--out", "oracle_model.json"],
+                 ["predict", "--model", "oracle_model.json", "--data", "test.jsonl",
+                  "--out", "oracle_sets.jsonl"]):
+        assert main(argv) == 0, argv
     (root / "file").mkdir()
     monkeypatch.chdir(root / "file")
     # a ring plus chords, an isolated node 30 from the directive, a reversed
@@ -105,5 +116,5 @@ class TestGoldenDigests:
     def test_cli_chains(self, tmp_path, monkeypatch):
         expected = recorded("cli_chain.sha256")
         write_cli_chains(tmp_path, monkeypatch)
-        assert len(expected) == 11
+        assert len(expected) == 13
         assert computed(tmp_path) == expected
