@@ -105,8 +105,7 @@ def _estimates(spec: str, graph, samples, seed: int):
     """(sample, probability vector) pairs in order, estimated block by block
     as they are consumed; a sample's estimator stream is substream(seed,
     sample index). The estimator is built, and its spec checked, at the call."""
-    estimator = build_estimator(spec, graph)
-    blocks = estimate_blocks(spec, graph, estimator, samples,
+    blocks = estimate_blocks(build_estimator(spec, graph), samples,
                              lambda sample: substream(seed, sample.index))
     return ((s, probs) for block, block_probs in blocks
             for s, probs in zip(block, block_probs))

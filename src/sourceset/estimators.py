@@ -6,17 +6,20 @@ set-prediction guarantee holds for any such vector, so estimator quality
 affects only how small the prediction sets are. A probability floor keeps
 every entry strictly positive, which keeps all score variants finite.
 
-`build_estimator` gives the per-sample form `(sample, rng) -> probs`.
-`estimate_blocks` scores a sequence of samples in row blocks: the heuristic
-has one implementation, `estimate_heuristic_batch`, over stacked time-major
-(rows, m, n_nodes) snapshots, and `estimate_heuristic` is its batch of one,
-so a block row and the per-sample vector are the same bits. The other
-estimators run per sample, and only "oracle:" and "mc:" get an rng.
+`build_estimator` parses a spec into an `Estimator`, whose `batch` scores a
+block of samples; `estimate_blocks` feeds it a sequence block by block. The
+heuristic's batch is `estimate_heuristic_batch` over the block's stacked
+time-major (rows, m, n_nodes) snapshots, and `estimate_heuristic` is its
+batch of one, so a block row and the per-sample vector are the same bits.
+The other estimators score row by row, and only "oracle:" and "mc:" draw
+from the per-row rngs.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +41,6 @@ HEURISTIC_DECAY = 0.5
 # each) peak RSS was 43.8 MB at 1 row, 43.6 at 16, 44.8 at 64 and 63.6 with
 # all 700 stacked, while the time per row did not change from 16 rows up.
 ESTIMATE_BLOCK_ROWS = 16
-
-# estimator kinds that draw from the per-sample rng
-_RANDOM_KINDS = ("oracle", "mc")
 
 
 def validate_prob_vector(probs: np.ndarray, n_nodes: int | None = None) -> np.ndarray:
@@ -227,55 +227,108 @@ def load_prob_vectors(path, n_nodes: int | None = None) -> dict[int, np.ndarray]
 # ---------------------------------------------------------------------------
 
 
-def build_estimator(spec: str, graph: Graph):
-    """Build a `(sample, rng) -> probs` callable from a spec string.
+@dataclass(frozen=True)
+class Estimator:
+    """A built estimator spec.
 
-    Grammar: "heuristic" | "oracle:NOISE" | "mc:K_SIMS" | "file:PATH".
-    The rng argument carries the per-sample substream; estimators that are
-    deterministic functions of the input ignore it.
+    `batch(samples, rngs)` returns the (len(samples), n_nodes) probability
+    vectors of a block, row r from `samples[r]` and `rngs[r]`. An estimator
+    with `needs_rng` unset draws nothing and is given None for every rng.
+    Calling the record as `(sample, rng)` runs its batch of one.
     """
-    kind, _, arg = spec.partition(":")
+
+    batch: Callable[[Sequence[LabeledSample], Sequence], np.ndarray]
+    needs_rng: bool
+
+    def __call__(self, sample: LabeledSample, rng) -> np.ndarray:
+        return self.batch([sample], [rng])[0]
+
+
+def parse_estimator_spec(spec: str) -> tuple[str, object]:
+    """(kind, argument) of a spec; raises ValueError naming a malformed one.
+
+    Grammar: "heuristic" | "oracle:NOISE" | "mc:K_SIMS" | "file:PATH", with
+    NOISE a float in [0, 1] (default 0) and K_SIMS an integer >= 1 (default
+    50). The argument is None for "heuristic" and PATH for "file:"; the
+    file is not read here.
+    """
+    kind, sep, arg = spec.partition(":")
     if kind == "heuristic":
-        return lambda sample, rng: estimate_heuristic(sample.x, graph)
+        if sep:
+            raise ValueError(f"estimator spec {spec!r}: heuristic takes no argument")
+        return kind, None
     if kind == "oracle":
-        noise = float(arg) if arg else 0.0
-        return lambda sample, rng: estimate_oracle(sample, noise, rng)
+        try:
+            noise = float(arg) if arg else 0.0
+        except ValueError:
+            noise = None
+        if noise is None or not 0.0 <= noise <= 1.0:  # also rejects NaN
+            raise ValueError(f"estimator spec {spec!r}: NOISE must be a number in [0, 1]")
+        return kind, noise
     if kind == "mc":
-        k_sims = int(arg) if arg else 50
-        return lambda sample, rng: estimate_monte_carlo(
-            sample.x, graph, sample.params, k_sims, rng)
+        try:
+            k_sims = int(arg) if arg else 50
+        except ValueError:
+            k_sims = 0
+        if k_sims < 1:
+            raise ValueError(f"estimator spec {spec!r}: K_SIMS must be an integer >= 1")
+        return kind, k_sims
     if kind == "file":
-        table = load_prob_vectors(arg, n_nodes=graph.n_nodes)
-
-        def lookup(sample, rng):
-            if sample.index not in table:
-                raise KeyError(f"no probability row for sample {sample.index}")
-            return table[sample.index]
-
-        return lookup
+        if not arg:
+            raise ValueError(f"estimator spec {spec!r}: file: needs a PATH")
+        return kind, arg
     raise ValueError(f"unknown estimator spec {spec!r}")
 
 
-def estimate_blocks(spec: str, graph: Graph, estimator, samples, rng_of):
+def _per_row(estimate, needs_rng: bool) -> Estimator:
+    """An Estimator whose batch stacks `estimate(sample, rng)` row by row."""
+    return Estimator(
+        batch=lambda samples, rngs: np.stack(
+            [estimate(s, rng) for s, rng in zip(samples, rngs, strict=True)]),
+        needs_rng=needs_rng)
+
+
+def build_estimator(spec: str, graph: Graph) -> Estimator:
+    """The `Estimator` of a spec (grammar in `parse_estimator_spec`).
+
+    A "file:" spec reads and checks its probability file here; a sample
+    with no row in it is a ValueError naming the file and the sample.
+    """
+    kind, arg = parse_estimator_spec(spec)
+    if kind == "heuristic":
+        return Estimator(
+            batch=lambda samples, rngs: estimate_heuristic_batch(
+                np.stack([s.x.statuses.T for s in samples]), graph),
+            needs_rng=False)
+    if kind == "oracle":
+        return _per_row(lambda sample, rng: estimate_oracle(sample, arg, rng), True)
+    if kind == "mc":
+        return _per_row(lambda sample, rng: estimate_monte_carlo(
+            sample.x, graph, sample.params, arg, rng), True)
+    table = load_prob_vectors(arg, n_nodes=graph.n_nodes)
+
+    def lookup(sample, rng):
+        if sample.index not in table:
+            raise ValueError(f"{arg}: no probability row for sample {sample.index}")
+        return table[sample.index]
+
+    return _per_row(lookup, False)
+
+
+def estimate_blocks(estimator: Estimator, samples, rng_of):
     """Probability vectors of `samples`, in order, block by block.
 
     Yields (block, probs) pairs: `block` is a run of at most
     ESTIMATE_BLOCK_ROWS consecutive samples of one window length, and
-    `probs` their (len(block), n_nodes) vectors. `estimator` is
-    `build_estimator(spec, graph)`. The heuristic scores each block's
-    stacked snapshots with `estimate_heuristic_batch`, which gives the same
-    bits as `estimator`. Other estimators are called per sample as
-    `estimator(sample, rng)`; `rng = rng_of(sample)` is created only for the
-    estimators that draw from it ("oracle:", "mc:"), and is None otherwise.
+    `probs` its `estimator.batch` rows. Row r's rng is `rng_of(block[r])`
+    when `estimator.needs_rng` is set, and None otherwise, so estimators
+    that draw nothing create no rng.
     """
-    kind = spec.partition(":")[0]
 
     def score(block):
-        if kind == "heuristic":
-            return estimate_heuristic_batch(
-                np.stack([s.x.statuses.T for s in block]), graph)
-        return np.stack([estimator(s, rng_of(s) if kind in _RANDOM_KINDS else None)
-                         for s in block])
+        rngs = ([rng_of(s) for s in block] if estimator.needs_rng
+                else [None] * len(block))
+        return estimator.batch(block, rngs)
 
     block = []
     for sample in samples:

@@ -24,7 +24,7 @@ import numpy as np
 from sourceset import conformal
 from sourceset.conformal import NominalLevels, SCORE_KINDS
 from sourceset.diffusion import GenerativeConfig, sample_dataset
-from sourceset.estimators import build_estimator, estimate_blocks
+from sourceset.estimators import build_estimator, estimate_blocks, parse_estimator_spec
 from sourceset.graph import Graph, graph_from_spec, spectral_radius
 from sourceset.util import config_hash, substream, VERSION, TOOL_NAME
 
@@ -60,6 +60,7 @@ class ExperimentConfig:
         for kind in self.score_kinds:
             if kind not in SCORE_KINDS:
                 raise ValueError(f"unknown score kind {kind!r}")
+        parse_estimator_spec(self.estimator)  # grammar only; a file: path is not read
         # fail fast on invalid levels
         for a in self.alphas:
             for b in self.betas:
@@ -145,7 +146,7 @@ def _run_trial(graph: Graph, cfg: ExperimentConfig, estimator, lambda1: float | 
     samples = sample_dataset(graph, cfg.generative, pool_n, cfg.seed,
                              lambda1=lambda1, seed_path=(_STREAM_DATA, trial))
     probs = [row for _, block_probs in estimate_blocks(
-                 cfg.estimator, graph, estimator, samples,
+                 estimator, samples,
                  lambda sample: substream(cfg.seed, _STREAM_EST, trial, sample.index))
              for row in block_probs]
     perm = substream(cfg.seed, _STREAM_SPLIT, trial).permutation(pool_n)

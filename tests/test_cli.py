@@ -232,6 +232,35 @@ class TestExitCodes:
         assert "cannot be reused for a different dataset" in capsys.readouterr().err
         assert not sets.exists()
 
+    @pytest.mark.parametrize("spec, message", [
+        ("heuristic:foo", "heuristic takes no argument"),
+        ("mc:x", "K_SIMS must be an integer >= 1"),
+        ("mc:0", "K_SIMS must be an integer >= 1"),
+        ("oracle:2", "NOISE must be a number in [0, 1]")])
+    def test_malformed_estimator_spec_is_validation_error(self, tmp_path, capsys,
+                                                          spec, message):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        assert run(*simulate_args(data, samples=3)) == 0
+        capsys.readouterr()
+        assert run("calibrate", "--data", str(data), "--score", "rec", "--alpha", "0.5",
+                   "--estimator", spec, "--out", str(model)) == 1
+        assert f"error: estimator spec {spec!r}: {message}" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_probability_file_without_a_sample_is_validation_error(self, tmp_path,
+                                                                   capsys):
+        data, probs = tmp_path / "d.jsonl", tmp_path / "probs.txt"
+        model = tmp_path / "m.json"
+        assert run(*simulate_args(data, samples=3)) == 0
+        indices = [s.index for s in load_dataset(data)[0]]
+        save_prob_vectors({i: np.full(20, 0.5) for i in indices[:-1]}, 20, probs)
+        capsys.readouterr()
+        assert run("calibrate", "--data", str(data), "--score", "rec", "--alpha", "0.5",
+                   "--estimator", f"file:{probs}", "--out", str(model)) == 1
+        assert (f"error: {probs}: no probability row for sample {indices[-1]}\n"
+                == capsys.readouterr().err)
+        assert not model.exists()
+
     def test_bad_status_character_is_validation_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         assert run(*simulate_args(data, samples=3)) == 0
@@ -422,6 +451,18 @@ class TestSweepCommand:
         assert run("sweep", "--config", str(path), "--out-dir", str(out)) == 1
         err = capsys.readouterr().err
         assert "bad config" in err and "n_snapshots must be >= 1" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["heuristic:x", "mc:0"])
+    def test_malformed_estimator_spec_rejected(self, tmp_path, capsys, spec):
+        path = self.write_config(tmp_path)
+        cfg = json.loads(path.read_text())
+        cfg["estimator"] = spec
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run("sweep", "--config", str(path), "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and f"estimator spec {spec!r}" in err
         assert not out.exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Estimator contracts: output invariants, determinism, and sanity of ranking."""
 
+import functools
 import re
 
 import numpy as np
@@ -28,6 +29,7 @@ from sourceset.estimators import (
     estimate_monte_carlo,
     estimate_oracle,
     load_prob_vectors,
+    parse_estimator_spec,
     save_prob_vectors,
     validate_prob_vector,
 )
@@ -310,7 +312,8 @@ class TestProbVectorFiles:
         assert np.array_equal(est(sample, None), table[0])
         missing = LabeledSample(index=7, x=sample.x, sources=sample.sources,
                                 params=sample.params)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                                             "no probability row for sample 7$"):
             est(missing, None)
 
 
@@ -320,49 +323,93 @@ class TestEstimateBlocks:
         return (random_samples(g, 20, seed=4, n_snapshots=4)
                 + random_samples(g, 13, seed=5, n_snapshots=3))
 
-    def blocks(self, spec, g, samples, seed=6):
+    def blocks(self, estimator, samples, seed=6):
         created = []
 
         def rng_of(sample):
             created.append(sample.index)
             return substream(seed, sample.index)
 
-        blocks = list(estimate_blocks(spec, g, build_estimator(spec, g), samples,
-                                      rng_of))
-        return blocks, created
+        return list(estimate_blocks(estimator, samples, rng_of)), created
 
-    @pytest.mark.parametrize("spec", ["heuristic", "oracle:0.4", "mc:2", "file"])
-    def test_rows_equal_per_sample_calls(self, tmp_path, spec):
+    def direct(self, spec, g, table):
+        """The per-sample vector of a spec from the estimator functions
+        themselves, with the rng estimate_blocks gives its sample."""
+        kind, arg = parse_estimator_spec(spec)
+        return {"heuristic": lambda s: reference_heuristic(s.x, g),
+                "oracle": lambda s: estimate_oracle(s, arg, substream(6, s.index)),
+                "mc": lambda s: estimate_monte_carlo(s.x, g, s.params, arg,
+                                                     substream(6, s.index)),
+                "file": lambda s: table[s.index]}[kind]
+
+    def case(self, tmp_path, spec):
+        """(graph, samples, spec, table) of a parametrized spec; "file" is
+        written with rows for the first 20 samples."""
         g = barabasi_albert_graph(30, 2, seed=3)
         samples = self.samples(g)
+        table = None
         if spec == "file":
             rng = np.random.default_rng(1)
-            save_prob_vectors({i: rng.random(30) for i in range(20)}, 30,
-                              tmp_path / "p.txt")
+            table = {i: rng.random(30) for i in range(20)}
+            save_prob_vectors(table, 30, tmp_path / "p.txt")
             spec = f"file:{tmp_path / 'p.txt'}"
             samples = samples[:20]
-        blocks, created = self.blocks(spec, g, samples)
+        return g, samples, spec, table
+
+    @pytest.mark.parametrize("spec", ["heuristic", "oracle:0.4", "mc:2", "file"])
+    def test_rows_equal_estimator_functions(self, tmp_path, spec):
+        g, samples, spec, table = self.case(tmp_path, spec)
+        blocks, created = self.blocks(build_estimator(spec, g), samples)
         runs = (20,) if spec.startswith("file:") else (20, 13)
         most = estimators.ESTIMATE_BLOCK_ROWS
         assert [len(block) for block, _ in blocks] == \
             [min(most, run - lo) for run in runs for lo in range(0, run, most)]
         assert [s for block, _ in blocks for s in block] == samples
-        estimator = build_estimator(spec, g)
+        direct = self.direct(spec, g, table)
         for block, probs in blocks:
             assert probs.shape == (len(block), 30)
             for s, row in zip(block, probs, strict=True):
-                assert np.array_equal(row, estimator(s, substream(6, s.index)))
+                assert np.array_equal(row, direct(s))
         # only estimators that draw from it get a per-sample rng
         random = spec.startswith(("oracle:", "mc:"))
         assert created == ([s.index for s in samples] if random else [])
+
+    @pytest.mark.parametrize("spec", ["heuristic", "oracle:0.4", "mc:2", "file"])
+    def test_one_row_call_equals_estimator_functions(self, tmp_path, spec):
+        g, samples, spec, table = self.case(tmp_path, spec)
+        estimator = build_estimator(spec, g)
+        direct = self.direct(spec, g, table)
+        for s in samples[::3]:
+            rng = substream(6, s.index) if estimator.needs_rng else None
+            assert np.array_equal(estimator(s, rng), direct(s))
+
+    @pytest.mark.parametrize("spec", ["heuristic", "oracle:0.4", "mc:2", "file"])
+    def test_wrapped_estimator_gives_the_same_rows(self, tmp_path, spec):
+        """A bare function made with functools.wraps, as a timing wrapper
+        would return it, keeps `batch` and `needs_rng` and so the same rows."""
+        g, samples, spec, table = self.case(tmp_path, spec)
+        estimator = build_estimator(spec, g)
+
+        @functools.wraps(estimator)
+        def wrapped(sample, rng):
+            return estimator(sample, rng)
+
+        assert wrapped.needs_rng == estimator.needs_rng
+        plain, plain_created = self.blocks(estimator, samples)
+        traced, traced_created = self.blocks(wrapped, samples)
+        assert traced_created == plain_created
+        assert [b for b, _ in traced] == [b for b, _ in plain]
+        assert np.array_equal(np.concatenate([p for _, p in traced]),
+                              np.concatenate([p for _, p in plain]))
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_block_size_changes_no_row(self, monkeypatch, rows):
         g = barabasi_albert_graph(30, 2, seed=3)
         samples = self.samples(g)
-        default = np.concatenate([p for _, p in self.blocks("heuristic", g, samples)[0]])
+        heuristic = build_estimator("heuristic", g)
+        default = np.concatenate([p for _, p in self.blocks(heuristic, samples)[0]])
         monkeypatch.setattr(estimators, "ESTIMATE_BLOCK_ROWS", rows)
-        blocks, _ = self.blocks("heuristic", g, samples)
+        blocks, _ = self.blocks(heuristic, samples)
         assert max(len(block) for block, _ in blocks) == rows
         assert np.array_equal(np.concatenate([p for _, p in blocks]), default)
 
@@ -374,6 +421,38 @@ class TestBuildEstimator:
             assert callable(build_estimator(spec, g))
         with pytest.raises(ValueError):
             build_estimator("gnn", g)
+
+    def test_needs_rng_only_for_estimators_that_draw(self, tmp_path):
+        g = complete_graph(5)
+        save_prob_vectors({0: np.full(5, 0.5)}, 5, tmp_path / "p.txt")
+        needs = {spec: build_estimator(spec, g).needs_rng
+                 for spec in ("heuristic", "oracle:0.5", "oracle", "mc:3", "mc",
+                              f"file:{tmp_path / 'p.txt'}")}
+        assert list(needs.values()) == [False, True, True, True, True, False]
+
+    def test_defaults(self):
+        assert parse_estimator_spec("oracle") == ("oracle", 0.0)
+        assert parse_estimator_spec("oracle:") == ("oracle", 0.0)
+        assert parse_estimator_spec("mc") == ("mc", 50)
+        assert parse_estimator_spec("mc:7") == ("mc", 7)
+        assert parse_estimator_spec("file:a:b.txt") == ("file", "a:b.txt")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("heuristic:foo", "heuristic takes no argument"),
+        ("heuristic:", "heuristic takes no argument"),
+        ("mc:x", "K_SIMS must be an integer >= 1"),
+        ("mc:2.5", "K_SIMS must be an integer >= 1"),
+        ("mc:0", "K_SIMS must be an integer >= 1"),
+        ("mc:-3", "K_SIMS must be an integer >= 1"),
+        ("oracle:x", "NOISE must be a number in [0, 1]"),
+        ("oracle:2", "NOISE must be a number in [0, 1]"),
+        ("oracle:-0.1", "NOISE must be a number in [0, 1]"),
+        ("oracle:nan", "NOISE must be a number in [0, 1]"),
+        ("file:", "file: needs a PATH"),
+        ("file", "file: needs a PATH")])
+    def test_malformed_specs_rejected_at_build_naming_the_spec(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(f"estimator spec {spec!r}: {message}")):
+            build_estimator(spec, complete_graph(5))
 
     def test_validate_prob_vector_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

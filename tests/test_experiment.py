@@ -48,6 +48,15 @@ class TestConfig:
             small_config(score_kinds=("pre", "exp"))
         with pytest.raises(ValueError):
             small_config(betas=(1.0,))
+        with pytest.raises(ValueError, match="estimator spec 'mc:0'"):
+            small_config(estimator="mc:0")
+
+    def test_file_estimator_path_not_read_by_config(self, tmp_path):
+        # the config checks the spec's grammar; the file is read when a run
+        # builds the estimator
+        cfg = small_config(estimator=f"file:{tmp_path / 'absent.txt'}")
+        with pytest.raises(FileNotFoundError):
+            run_experiment(cfg)
 
     def test_desk_scale_preset(self):
         cfg = ExperimentConfig.desk_scale("ba:200,3", small_config().generative)

@@ -1,6 +1,6 @@
 """Golden SHA-256 digests of fixed-seed result files.
 
-The files are the desk-scale experiment reports and the 13 files of the two
+The files are the desk-scale experiment reports and the 15 files of the two
 CLI chains that CI runs. A change that alters any of their bytes is either a
 deliberate, documented change of the results contract, which updates the
 digests in the same change, or a defect.
@@ -88,12 +88,18 @@ def write_cli_chains(root: Path, monkeypatch) -> None:
 
     monkeypatch.chdir(root)
     chain("complete:20", "0.25", "rec")
-    # a seeded estimator on the same data: one substream per sample index
+    # seeded estimators on the same data: one substream per sample index
     for argv in (["calibrate", "--data", "cal.jsonl", "--score", "pre",
                   "--alpha", "0.1", "--beta", "0.3", "--estimator", "oracle:0.5",
                   "--seed", "5", "--out", "oracle_model.json"],
                  ["predict", "--model", "oracle_model.json", "--data", "test.jsonl",
-                  "--out", "oracle_sets.jsonl"]):
+                  "--out", "oracle_sets.jsonl"],
+                 # Monte Carlo on the same data
+                 ["calibrate", "--data", "cal.jsonl", "--score", "min",
+                  "--alpha", "0.1", "--beta", "0.3", "--estimator", "mc:2",
+                  "--seed", "5", "--out", "mc_model.json"],
+                 ["predict", "--model", "mc_model.json", "--data", "test.jsonl",
+                  "--out", "mc_sets.jsonl"]):
         assert main(argv) == 0, argv
     (root / "file").mkdir()
     monkeypatch.chdir(root / "file")
@@ -116,5 +122,5 @@ class TestGoldenDigests:
     def test_cli_chains(self, tmp_path, monkeypatch):
         expected = recorded("cli_chain.sha256")
         write_cli_chains(tmp_path, monkeypatch)
-        assert len(expected) == 13
+        assert len(expected) == 15
         assert computed(tmp_path) == expected
