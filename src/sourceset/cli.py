@@ -192,13 +192,23 @@ def evaluate(sets_path, data_path, out_path):
             continue
         if rec.get("record") != "prediction":
             continue
-        idx = rec["index"]
+        idx = rec.get("index")
+        if type(idx) is not int or idx < 0:
+            raise click.ClickException(
+                f"{sets_path}: prediction index {idx!r} is not a non-negative integer")
         if idx not in by_index:
-            raise click.ClickException(f"prediction for unknown sample {idx}")
+            raise click.ClickException(f"{sets_path}: prediction for unknown sample {idx}")
         if idx in rows:
             raise click.ClickException(
                 f"{sets_path}: duplicate prediction for sample {idx}")
-        rows[idx] = np.asarray(rec["nodes"], dtype=np.int64)
+        nodes, n_nodes = rec.get("nodes"), by_index[idx].x.n_nodes
+        if (not isinstance(nodes, list)
+                or not all(type(v) is int and 0 <= v < n_nodes for v in nodes)
+                or len(set(nodes)) != len(nodes)):
+            raise click.ClickException(
+                f"{sets_path}: prediction for sample {idx}: nodes must be distinct "
+                f"node ids below {n_nodes}")
+        rows[idx] = np.asarray(nodes, dtype=np.int64)
     if not rows:
         raise click.ClickException(f"{sets_path}: no predictions")
     beta = header.get("config", {}).get("beta")

@@ -22,8 +22,9 @@ Score variants (all computed on the upward closure of the argument set):
 Numerical contract: the score formulas exist once (`_closure_scores`) and
 read one ranked view, `RankedBlock`: a block of equal-length rows ranked with
 one row-wise sort and one row-wise extended-precision cumulative sum.
-Calibration and the experiment loop rank blocks of samples; set_score,
-singleton_scores, prediction and the brute-force oracle rank a one-row block.
+Calibration, risk control and the experiment loop rank blocks of samples
+and read every source-set decision off them; set_score, singleton_scores,
+prediction and the brute-force oracle rank a one-row block.
 A block's rows are capped so that its longdouble sums fit
 `_SCORE_BLOCK_BYTES`. Scores depend only on values, never on how ties are
 ordered (a block turns -0.0 into 0.0 in its sorted values, the one tie whose
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,6 +92,9 @@ class NominalLevels:
     beta: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 <= self.beta < 1.0:
@@ -114,6 +119,9 @@ class ConformalModel:
             raise ValueError(f"unknown score kind {self.score!r}")
         if math.isnan(self.q_hat) or self.q_hat == -math.inf:
             raise ValueError(f"q_hat must be a number or +inf, got {self.q_hat!r}")
+        if not isinstance(self.n_cal, numbers.Integral) or isinstance(self.n_cal, bool) \
+                or self.n_cal < 1:
+            raise ValueError(f"n_cal must be a positive integer, got {self.n_cal!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,11 +217,11 @@ class RankedBlock:
     into these arrays, and scores need only values, never positions.
 
     Built from a (rows, N) float64 array, which the block only reads, and,
-    for shrunk_scores, one int64 node-id array per row; ranked_blocks builds
-    blocks of samples and _ranked_row a block of one vector. Source sets are
-    checked with the messages of check_node_set and stored deduplicated and
-    sorted by (row, node) in `source_rows` and `source_nodes`, with
-    `source_counts[r]` distinct sources in row r.
+    for its source-set methods, one int64 node-id array per row;
+    ranked_blocks builds blocks of samples and _ranked_row a block of one
+    vector. Source sets are checked with the messages of check_node_set and
+    stored deduplicated and sorted by (row, node) in `source_rows` and
+    `source_nodes`, with `source_counts[r]` distinct sources in row r.
     """
 
     def __init__(self, probs: np.ndarray, sources: list[np.ndarray] | None = None):
@@ -264,6 +272,18 @@ class RankedBlock:
         keep = np.ceil((1.0 - beta) * self.source_counts - _CEIL_NUDGE).astype(np.int64)
         return np.maximum(keep, 1)
 
+    def source_threshold(self, keep) -> np.ndarray:
+        """Per row, the keep[r]-th largest source probability (keep may be a
+        scalar for every row)."""
+        return self._source_desc[self._source_start + keep - 1]
+
+    def included(self, passing: np.ndarray, beta: float) -> np.ndarray:
+        """Per row, whether at least required_hits of the row's sources are
+        True in the (rows, N) mask `passing`."""
+        hits = np.bincount(self.source_rows[passing[self.source_rows, self.source_nodes]],
+                           minlength=self.source_counts.size)
+        return hits >= self.required_hits(beta)
+
     def shrunk_scores(self, kind: str, beta: float) -> np.ndarray:
         """Per row, the score of shrink_set(probs, sources, beta).
 
@@ -271,8 +291,7 @@ class RankedBlock:
         source probability of the row, and its closure holds every
         probability >= that value.
         """
-        keep = self.required_hits(beta)
-        threshold = self._source_desc[self._source_start + keep - 1]
+        threshold = self.source_threshold(self.required_hits(beta))
         sizes = np.count_nonzero(self.ascending >= threshold[:, None], axis=1)
         return self.scores(kind, sizes[:, None])[:, 0]
 
@@ -440,52 +459,31 @@ def evaluate_set(nodes, true_sources, beta: float) -> SetMetrics:
 # ---------------------------------------------------------------------------
 # Risk-control formulation (threshold family over 1 - probability)
 # ---------------------------------------------------------------------------
-#
-# The family C_lambda = {v : prob(v) >= 1 - lambda} controls recall directly:
-# lambda_hat is the smallest threshold whose empirical violation bound
-# (violations + 1) / (n + 1) <= alpha holds (Angelopoulos et al., Conformal
-# Risk Control). Membership is evaluated in the rearranged form
-# 1 - prob <= lambda, so sample i is satisfied exactly when
-# t_i <= lambda, where t_i is the required_hits-th smallest 1 - prob over its
-# sources. With m = floor(alpha (n + 1)) - 1 violations allowed, lambda_hat
-# is the (n - m)-th smallest t_i: an empirical quantile, read off by rank
-# instead of scanning every candidate threshold. Each t_i is itself a
-# 1 - prob value, so the result is the float a scan over all 1 - prob
-# values would return, and it agrees with the min-score quantile path down
-# to the last bit.
 
 
 def crc_calibrate(samples, levels: NominalLevels) -> float:
     """Smallest lambda with (violations(lambda) + 1) / (n + 1) <= alpha.
 
-    violations(lambda) counts calibration samples whose set
-    {v : 1 - prob(v) <= lambda} covers fewer than required_hits of the true
-    sources. A sample is satisfied exactly when lambda reaches its t_i, the
-    required_hits-th smallest 1 - prob over its sources, so with m
-    violations allowed lambda_hat is the (n - m)-th smallest t_i. Returns
-    +inf when even zero violations break the bound (the infimum of an empty
-    set; the prediction set is then the full node set), and the smallest
-    1 - prob over all sources when every sample may be violated. Costs one
-    partition per sample plus one over the n values of t, so O(total source
-    entries + n).
+    The family C_lambda = {v : 1 - prob(v) <= lambda} controls recall
+    directly (Angelopoulos et al., Conformal Risk Control). Sample i is
+    violated, covering fewer than required_hits of its sources, exactly when
+    lambda < t_i = 1 - its required_hits-th largest source probability. The
+    loss is binary and monotone, so lambda_hat is finite_sample_quantile of
+    the t_i (+inf: the full node set), or the smallest 1 - prob of any source
+    when every sample may be violated. Each t_i is a 1 - prob value, so this
+    is the float a scan over all candidates returns, equal to 1 + the 'min'
+    score threshold to the last bit. Consumes `samples` as calibrate does.
     """
-    samples = list(samples)
-    n = len(samples)
-    if n == 0:
+    t, t_any = [], []
+    for block in ranked_blocks(samples):
+        t.append(1.0 - block.source_threshold(block.required_hits(levels.beta)))
+        t_any.append(1.0 - block.source_threshold(1))
+    if not t:
         raise ValueError("need at least one calibration sample")
-    allowed = math.floor(levels.alpha * (n + 1) + _CEIL_NUDGE) - 1
-    t = np.empty(n)
-    for i, (probs, sources) in enumerate(samples):
-        probs = _check_probs(probs)
-        y = check_node_set(sources, probs.size)
-        # when every sample may be violated, the answer is the smallest
-        # 1 - prob of any sample, so each sample contributes its smallest
-        k = 1 if allowed >= n else required_hits(y.size, levels.beta)
-        t[i] = np.partition(1.0 - probs[y], k - 1)[k - 1]
-    if allowed < 0:
-        return math.inf
-    rank = max(n - allowed, 1)
-    return float(np.partition(t, rank - 1)[rank - 1])
+    t = np.concatenate(t)
+    if math.floor(levels.alpha * (t.size + 1) + _CEIL_NUDGE) > t.size:
+        return float(np.concatenate(t_any).min())
+    return finite_sample_quantile(t, levels.alpha)
 
 
 def crc_predict(lambda_hat: float, probs) -> np.ndarray:

@@ -110,9 +110,6 @@ class Trajectory:
     def n_nodes(self) -> int:
         return self.statuses.shape[1]
 
-    def status_at(self, t: int) -> np.ndarray:
-        return self.statuses[t]
-
 
 @dataclass(frozen=True, eq=False)
 class SnapshotMatrix:
@@ -430,11 +427,13 @@ def _status_strings(x: SnapshotMatrix) -> list[str]:
 def _parse_statuses(strings, n_times: int, where: str) -> np.ndarray:
     """Status strings of one sample record -> (n_nodes, n_snapshots) codes;
     `where` names the record in error messages."""
+    if not isinstance(strings, list) or not all(isinstance(snap, str) for snap in strings):
+        raise ValueError(f"{where}: status must be a list of strings")
     if len(strings) != n_times:
         raise ValueError(f"{where}: {len(strings)} status strings "
                          f"for {n_times} observation times")
     n = len(strings[0]) if strings else 0
-    if any(not isinstance(snap, str) or len(snap) != n for snap in strings):
+    if any(len(snap) != n for snap in strings):
         raise ValueError(f"{where}: status strings of unequal length")
     raw = "".join(strings).encode("utf-8")
     codes = _BYTE_STATUS[np.frombuffer(raw, dtype=np.uint8)]
@@ -443,6 +442,20 @@ def _parse_statuses(strings, n_times: int, where: str) -> np.ndarray:
         raise ValueError(f"{where}: status character {bad!r} "
                          f"outside {STATUS_ALPHABET!r}")
     return codes.reshape(len(strings), n).T
+
+
+def _parse_sources(values, n_nodes: int, where: str) -> np.ndarray:
+    """The source list of one sample record: distinct integer node ids below
+    n_nodes, in file order; `where` names the record in error messages."""
+    if (not isinstance(values, list) or not values
+            or not all(type(v) is int for v in values)):
+        raise ValueError(f"{where}: sources must be a non-empty list of integer node ids")
+    bad = next((v for v in values if not 0 <= v < n_nodes), None)
+    if bad is not None:
+        raise ValueError(f"{where}: source {bad} out of range for {n_nodes} nodes")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{where}: repeated source node")
+    return np.asarray(values, dtype=np.int64)
 
 
 def save_dataset(samples: list[LabeledSample], path, seed, config: dict) -> None:
@@ -468,7 +481,8 @@ def load_dataset(path) -> tuple[list[LabeledSample], dict]:
 
     Sample indices must be distinct non-negative integers: they key the
     per-sample estimator streams, and a repeated index would be calibrated
-    and predicted twice.
+    and predicted twice. A record's status must be a list of strings and its
+    sources distinct node ids of the sample; each error names the sample.
     """
     header: dict = {}
     samples: list[LabeledSample] = []
@@ -488,14 +502,13 @@ def load_dataset(path) -> tuple[list[LabeledSample], dict]:
         indices.add(index)
         where = f"{path}: sample {index}"
         times = np.asarray(rec["times"], dtype=np.int64)
-        statuses = _parse_statuses(rec["status"], times.size, where)
+        statuses = _parse_statuses(rec.get("status"), times.size, where)
         try:
             x = SnapshotMatrix(statuses=statuses, times=times)
             params = SirParams(sigma_inf=rec["sigma_inf"], sigma_rec=rec["sigma_rec"],
                                horizon=rec["horizon"], r0=rec.get("r0"))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        samples.append(LabeledSample(
-            index=index, x=x,
-            sources=np.asarray(rec["sources"], dtype=np.int64), params=params))
+        sources = _parse_sources(rec.get("sources"), x.n_nodes, where)
+        samples.append(LabeledSample(index=index, x=x, sources=sources, params=params))
     return samples, header

@@ -172,17 +172,14 @@ def _run_trial(graph: Graph, cfg: ExperimentConfig, estimator, lambda1: float | 
     total_size = dict.fromkeys(q_hats, 0)
     for block in blocks(perm[cfg.n_cal:]):
         closure_sizes = block.node_closure_sizes()
-        needed = {beta: block.required_hits(beta) for beta in betas}
         for kind in kinds:
             node_scores = block.scores(kind, closure_sizes)
-            source_scores = node_scores[block.source_rows, block.source_nodes]
             for alpha in alphas:
                 for beta in betas:
                     cell = (kind, alpha, beta)
-                    total_size[cell] += int(np.count_nonzero(node_scores <= q_hats[cell]))
-                    hits = np.bincount(block.source_rows[source_scores <= q_hats[cell]],
-                                       minlength=block.source_counts.size)
-                    included[cell] += int(np.count_nonzero(hits >= needed[beta]))
+                    passing = node_scores <= q_hats[cell]
+                    total_size[cell] += int(np.count_nonzero(passing))
+                    included[cell] += int(np.count_nonzero(block.included(passing, beta)))
     return {cell: (included[cell] / cfg.n_test, total_size[cell] / cfg.n_test)
             for cell in q_hats}
 

@@ -108,7 +108,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, token", [
         ("q_hat", "NaN"), ("q_hat", '"nan"'), ("q_hat", '"-inf"'),
-        ("q_hat", "-Infinity"), ("score", '"max"')])
+        ("q_hat", "-Infinity"), ("score", '"max"'), ("alpha", '"0.1"'), ("n_cal", '"x"')])
     def test_model_without_usable_threshold_is_validation_error(self, tmp_path, capsys,
                                                                  field, token):
         data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
@@ -141,6 +141,28 @@ class TestExitCodes:
         index = json.loads(lines[4])["index"]
         err = capsys.readouterr().err
         assert f"{sets}: duplicate prediction for sample {index}" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("index", [1]), ("index", -1), ("index", "1"), ("index", True), ("index", None),
+        ("nodes", [99, 99, -5]), ("nodes", [3, 3]), ("nodes", [20]), ("nodes", [-1]),
+        ("nodes", [1.5]), ("nodes", [[1, 2]]), ("nodes", [True]), ("nodes", None)])
+    def test_evaluate_bad_prediction_record_is_validation_error(self, tmp_path, capsys,
+                                                                field, value):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        sets, report = tmp_path / "sets.jsonl", tmp_path / "eval.csv"
+        assert run(*simulate_args(data, samples=10)) == 0
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.2", "--out", str(model)) == 0
+        assert run("predict", "--model", str(model), "--data", str(data),
+                   "--out", str(sets)) == 0
+        lines = sets.read_text().splitlines(keepends=True)
+        lines[3] = json.dumps({**json.loads(lines[3]), field: value}) + "\n"
+        sets.write_text("".join(lines))
+        capsys.readouterr()
+        assert run("evaluate", "--sets", str(sets), "--data", str(data),
+                   "--out", str(report)) == 1
+        assert f"{sets}: " in capsys.readouterr().err
         assert not report.exists()
 
     def test_repeated_dataset_record_is_validation_error(self, tmp_path, capsys):

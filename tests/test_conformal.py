@@ -95,6 +95,16 @@ class TestNominalLevels:
             NominalLevels(alpha=1.0, beta=0.1)
         NominalLevels(alpha=0.1, beta=0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [("0.1", 0.0), (0.1, None), (0.1, False)])
+    def test_non_number_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="must be a number"):
+            NominalLevels(alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("n_cal", ["x", 0, 2.0, True])
+    def test_model_needs_positive_integer_n_cal(self, n_cal):
+        with pytest.raises(ValueError, match="n_cal must be a positive integer"):
+            ConformalModel("rec", NominalLevels(0.1), 0.5, n_cal)
+
 
 class TestUpwardClosure:
     def test_worked_example(self):
@@ -467,10 +477,12 @@ class TestRankedBlock:
                   for b in (0.0, 0.3, 0.7)]
         expected = {(kind, lv): calibrate(samples, kind, lv).q_hat
                     for kind in SCORE_KINDS for lv in levels}
+        expected.update({("crc", lv): crc_calibrate(samples, lv) for lv in levels})
         for rows in (1, 7):
             block_rows_budget(monkeypatch, rows, 9)
             for (kind, lv), q_hat in expected.items():
-                got = calibrate(iter(samples), kind, lv).q_hat
+                got = (crc_calibrate(iter(samples), lv) if kind == "crc"
+                       else calibrate(iter(samples), kind, lv).q_hat)
                 assert np.float64(got).view(np.uint64) == np.float64(q_hat).view(np.uint64)
 
     @pytest.mark.parametrize("bad, message", [
@@ -482,6 +494,9 @@ class TestRankedBlock:
         samples[5] = (samples[5][0], bad)
         with pytest.raises(ValueError, match=message):
             calibrate(samples, "rec", NominalLevels(alpha=0.5))
+        # risk control reads the same blocks, so it fails with the same message
+        with pytest.raises(ValueError, match=message):
+            crc_calibrate(samples, NominalLevels(alpha=0.5))
 
 
 class TestNonFiniteInput:

@@ -438,6 +438,25 @@ class TestDatasetCodec:
         with pytest.raises(ValueError, match=f"sample {index}: .*strictly increasing"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("field, bad, message", [
+        ("status", None, "status must be a list of strings"),
+        ("status", "SSSSSSSSSSSS", "status must be a list of strings"),
+        ("status", [1, 2, 3], "status must be a list of strings"),
+        ("sources", None, "sources must be a non-empty list of integer node ids"),
+        ("sources", [], "sources must be a non-empty list of integer node ids"),
+        ("sources", [[1, 2]], "sources must be a non-empty list of integer node ids"),
+        ("sources", [1.0], "sources must be a non-empty list of integer node ids"),
+        ("sources", [True], "sources must be a non-empty list of integer node ids"),
+        ("sources", [3, 5, 3], "repeated source node"),
+        ("sources", [12], "source 12 out of range for 12 nodes"),
+        ("sources", [0, -1], "source -1 out of range for 12 nodes")])
+    def test_bad_status_or_sources_names_the_sample(self, tmp_path, field, bad, message):
+        path = self.dataset(tmp_path)
+        index = self.edit_sample(path, 2, lambda rec: rec.__setitem__(field, bad))
+        with pytest.raises(ValueError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"{path}: sample {index}: {message}"
+
     def test_rate_out_of_range_names_the_sample(self, tmp_path):
         path = self.dataset(tmp_path)
         index = self.edit_sample(path, 3, lambda rec: rec.__setitem__("sigma_rec", 1.5))
