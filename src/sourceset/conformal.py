@@ -21,20 +21,21 @@ Score variants (all computed on the upward closure of the argument set):
 
 Numerical contract: the score formulas exist once (`_closure_scores`) and
 read one ranked view, `RankedBlock`: a block of equal-length rows ranked with
-one row-wise sort and one row-wise extended-precision cumulative sum.
+one row-wise sort and one row-wise float64 cumulative sum.
 Calibration, risk control and the experiment loop rank blocks of samples
 and read every source-set decision off them; set_score, singleton_scores,
 prediction and the brute-force oracle rank a one-row block.
-A block's rows are capped so that its longdouble sums fit
+A block's rows are capped so that its prefix sums fit
 `_SCORE_BLOCK_BYTES`. Scores depend only on values, never on how ties are
 ordered (a block turns -0.0 into 0.0 in its sorted values, the one tie whose
-members differ in bits), and every row is summed sequentially, so a row of a
-block and the same vector ranked alone give bit-identical scores, and
-threshold comparisons see identical rounding on both sides. `shrink_set`,
-`upward_closure` and `probability_order` stay value-based, as the reference
-the block is tested against. Rank arithmetic like ceil((1-alpha)(n+1)) is
-computed with a small nudge so float products that represent exact integers
-do not overshoot.
+members differ in bits), and every row is summed in sequence in float64, so
+a row of a block and the same vector ranked alone give bit-identical scores
+on every platform, threshold comparisons see identical rounding on both
+sides, and a row total's relative error is at most (N - 1) * eps.
+`shrink_set`, `upward_closure` and `probability_order` stay value-based, as
+the reference the block is tested against. Rank arithmetic like
+ceil((1-alpha)(n+1)) is computed with a small nudge so float products that
+represent exact integers do not overshoot.
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ SCORE_KINDS = ("pre", "rec", "min")
 
 _CEIL_NUDGE = 1e-9
 _BRUTEFORCE_MAX_NODES = 16
-# a RankedBlock's largest temporary, its longdouble prefix sums, stays within
-# this many bytes; all of a block's arrays then take about 2.6 times as much.
-# Larger blocks only save per-block overhead: on a 2-vCPU Xeon, 7600 samples
-# at N = 774 scored 'pre' in 0.22 s with 1 MiB against 0.33 s with 64 KiB,
-# but 1 MiB added 3.3 MB to the cli-chain benchmark's peak RSS, 64 KiB none
-# measurable.
+# a RankedBlock's prefix sums stay within this many bytes; all of a block's
+# arrays then take about 3 times as much. Larger blocks only save per-block
+# overhead: on a 2-vCPU Xeon, 7600 samples at N = 774 scored 'pre' in 0.10 s
+# with 1 MiB against 0.13 s with 64 KiB, but the scoring loop's peak of
+# traced memory grew from 1.3 MB to 3.2 MB.
 _SCORE_BLOCK_BYTES = 1 << 16
 
 
@@ -208,13 +208,13 @@ def _closure_scores(kind: str, ascending: np.ndarray, prefix, closure_size):
 class RankedBlock:
     """Rows of one length N, optionally each with its source set, ranked together.
 
-    One sort and one row-wise extended precision prefix sum serve every row:
+    One sort and one row-wise float64 prefix sum serve every row:
     prefix[r, k] is the sum of the k largest probabilities of row r,
-    accumulated sequentially in extended precision, so prefix evaluation
-    agrees with a direct sum to well under 1e-12 even for thousands of nodes,
-    and a row's values and sums are the same bit for bit in any block. A
-    closure holds the largest values of its row, so every score is a lookup
-    into these arrays, and scores need only values, never positions.
+    accumulated in sequence, so a row total's relative error is at most
+    (N - 1) * eps and a row's values and sums are the same bit for bit in
+    any block. A closure holds the largest values of its row, so every score
+    is a lookup into these arrays, and scores need only values, never
+    positions.
 
     Built from a (rows, N) float64 array, which the block only reads, and,
     for its source-set methods, one int64 node-id array per row;
@@ -256,10 +256,8 @@ class RankedBlock:
     def prefix(self) -> np.ndarray:
         """(rows, N + 1) prefix sums, computed on first use: 'min' needs none."""
         if self._prefix is None:
-            rows, n = self.probs.shape
-            self._prefix = np.zeros((rows, n + 1))
-            self._prefix[:, 1:] = np.cumsum(self.ascending[:, ::-1], axis=1,
-                                            dtype=np.longdouble)
+            self._prefix = np.zeros((self.probs.shape[0], self.probs.shape[1] + 1))
+            np.cumsum(self.ascending[:, ::-1], axis=1, out=self._prefix[:, 1:])
         return self._prefix
 
     def scores(self, kind: str, closure_size: np.ndarray) -> np.ndarray:
@@ -310,8 +308,8 @@ class RankedBlock:
 
 
 def _block_rows(n_nodes: int) -> int:
-    """Rows per RankedBlock, so that its longdouble prefix sums fit the budget."""
-    return max(1, _SCORE_BLOCK_BYTES // (np.dtype(np.longdouble).itemsize * n_nodes))
+    """Rows per RankedBlock, so that its prefix sums fit the budget."""
+    return max(1, _SCORE_BLOCK_BYTES // (np.dtype(np.float64).itemsize * n_nodes))
 
 
 def ranked_blocks(samples):

@@ -458,6 +458,25 @@ def _parse_sources(values, n_nodes: int, where: str) -> np.ndarray:
     return np.asarray(values, dtype=np.int64)
 
 
+def _check_field_types(rec: dict, where: str) -> None:
+    """Types of one sample record's times, rates, horizon and r0, with bools
+    refused; `where` names the record in error messages."""
+
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    times = rec.get("times")
+    if not isinstance(times, list) or not times or not all(type(t) is int for t in times):
+        raise ValueError(f"{where}: times must be a non-empty list of integers")
+    for key in ("sigma_inf", "sigma_rec"):
+        if not number(rec.get(key)):
+            raise ValueError(f"{where}: {key} must be a number")
+    if type(rec.get("horizon")) is not int:
+        raise ValueError(f"{where}: horizon must be an integer")
+    if rec.get("r0") is not None and not number(rec["r0"]):
+        raise ValueError(f"{where}: r0 must be a number or null")
+
+
 def save_dataset(samples: list[LabeledSample], path, seed, config: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         write_jsonl_header(fh, "dataset", seed, config)
@@ -481,8 +500,10 @@ def load_dataset(path) -> tuple[list[LabeledSample], dict]:
 
     Sample indices must be distinct non-negative integers: they key the
     per-sample estimator streams, and a repeated index would be calibrated
-    and predicted twice. A record's status must be a list of strings and its
-    sources distinct node ids of the sample; each error names the sample.
+    and predicted twice. A record's times must be a non-empty list of
+    integers, its status a list of strings, its sources distinct node ids of
+    the sample, its rates numbers and its horizon an integer; each error
+    names the sample.
     """
     header: dict = {}
     samples: list[LabeledSample] = []
@@ -501,6 +522,7 @@ def load_dataset(path) -> tuple[list[LabeledSample], dict]:
             raise ValueError(f"{path}: duplicate record for sample {index}")
         indices.add(index)
         where = f"{path}: sample {index}"
+        _check_field_types(rec, where)
         times = np.asarray(rec["times"], dtype=np.int64)
         statuses = _parse_statuses(rec.get("status"), times.size, where)
         try:

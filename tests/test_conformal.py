@@ -49,16 +49,16 @@ def direct_score(kind, probs, members):
 
 def reference_set_score(kind, probs, members):
     """set_score from the definitions, bit for bit: the upward closure's
-    probabilities in descending order, summed one after another in extended
-    precision as the prefix sums are, with -0.0 read as 0.0."""
+    probabilities in descending order, summed one after another in float64
+    as the prefix sums are, with -0.0 read as 0.0."""
     probs = np.asarray(probs, dtype=np.float64) + 0.0
     closure = np.sort(probs[upward_closure(probs, members)])[::-1]
     if kind == "min":
         return -closure[-1]
-    mass = float(np.cumsum(closure, dtype=np.longdouble)[-1])
+    mass = np.cumsum(closure)[-1]
     if kind == "pre":
         return -(mass / closure.size)
-    return mass / float(np.cumsum(np.sort(probs)[::-1], dtype=np.longdouble)[-1])
+    return mass / np.cumsum(np.sort(probs)[::-1])[-1]
 
 
 def bits(values):
@@ -401,7 +401,7 @@ class TestCalibratePredict:
 
 def block_rows_budget(monkeypatch, rows, n_nodes):
     """Set the scoring block budget to `rows` rows of `n_nodes` probabilities."""
-    row_bytes = np.dtype(np.longdouble).itemsize * n_nodes
+    row_bytes = np.dtype(np.float64).itemsize * n_nodes
     monkeypatch.setattr(conformal, "_SCORE_BLOCK_BYTES", rows * row_bytes)
 
 
@@ -470,6 +470,20 @@ class TestRankedBlock:
                     assert np.array_equal(bits(row), bits(reference))
                     order, singles = singleton_scores(kind, probs)
                     assert np.array_equal(bits(row[order]), bits(singles))
+
+    def test_prefix_total_within_float64_bound(self):
+        """A row total summed in sequence in float64 is within (N - 1) * eps
+        of the correctly rounded sum, relatively."""
+        n = 20_000
+        rng = np.random.default_rng(26)
+        # values spread over many binades, so additions round
+        probs = rng.random((4, n)) ** 8
+        block = conformal.RankedBlock(probs)
+        assert block.prefix.dtype == np.float64
+        bound = (n - 1) * np.finfo(np.float64).eps
+        for row, total in zip(probs, block.prefix[:, -1]):
+            exact = math.fsum(row)
+            assert abs(total - exact) <= bound * exact
 
     def test_q_hat_independent_of_block_size(self, monkeypatch):
         samples = self.samples(23)

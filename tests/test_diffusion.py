@@ -372,6 +372,10 @@ class TestSampleDataset:
             GenerativeConfig(r0=(1, 2), sigma_inf=(0.1, 0.2))
 
 
+# a record field that the test deletes instead of setting
+MISSING = object()
+
+
 class TestDatasetCodec:
     def write_reference(self, samples, path, seed, config, monkeypatch):
         with monkeypatch.context() as m:
@@ -449,10 +453,34 @@ class TestDatasetCodec:
         ("sources", [True], "sources must be a non-empty list of integer node ids"),
         ("sources", [3, 5, 3], "repeated source node"),
         ("sources", [12], "source 12 out of range for 12 nodes"),
-        ("sources", [0, -1], "source -1 out of range for 12 nodes")])
+        ("sources", [0, -1], "source -1 out of range for 12 nodes"),
+        ("times", None, "times must be a non-empty list of integers"),
+        ("times", [], "times must be a non-empty list of integers"),
+        ("times", ["a"], "times must be a non-empty list of integers"),
+        ("times", [0.5, 1.5, 2.5], "times must be a non-empty list of integers"),
+        ("times", [[1, 2, 3]], "times must be a non-empty list of integers"),
+        ("times", [True, 2, 3], "times must be a non-empty list of integers"),
+        ("sigma_inf", True, "sigma_inf must be a number"),
+        ("sigma_inf", "0.1", "sigma_inf must be a number"),
+        ("sigma_rec", None, "sigma_rec must be a number"),
+        ("horizon", 39.5, "horizon must be an integer"),
+        ("horizon", "x", "horizon must be an integer"),
+        ("horizon", True, "horizon must be an integer"),
+        ("r0", "2", "r0 must be a number or null"),
+        ("r0", False, "r0 must be a number or null"),
+        ("times", MISSING, "times must be a non-empty list of integers"),
+        ("sigma_inf", MISSING, "sigma_inf must be a number"),
+        ("horizon", MISSING, "horizon must be an integer")])
     def test_bad_status_or_sources_names_the_sample(self, tmp_path, field, bad, message):
         path = self.dataset(tmp_path)
-        index = self.edit_sample(path, 2, lambda rec: rec.__setitem__(field, bad))
+
+        def put(rec):
+            if bad is MISSING:
+                del rec[field]
+            else:
+                rec[field] = bad
+
+        index = self.edit_sample(path, 2, put)
         with pytest.raises(ValueError) as info:
             load_dataset(path)
         assert str(info.value) == f"{path}: sample {index}: {message}"

@@ -137,7 +137,7 @@ class TestRunExperiment:
         estimator_fn = build_estimator(cfg.estimator, graph)
         expected = [experiment._run_trial(graph, cfg, estimator_fn, None, t)
                     for t in range(cfg.n_trials)]
-        row_bytes = np.dtype(np.longdouble).itemsize * graph.n_nodes
+        row_bytes = np.dtype(np.float64).itemsize * graph.n_nodes
         for rows in (1, 7):
             monkeypatch.setattr(conformal, "_SCORE_BLOCK_BYTES", rows * row_bytes)
             monkeypatch.setattr(estimators, "ESTIMATE_BLOCK_ROWS", rows)

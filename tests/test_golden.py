@@ -5,12 +5,11 @@ CLI chains that CI runs. A change that alters any of their bytes is either a
 deliberate, documented change of the results contract, which updates the
 digests in the same change, or a defect.
 
-Prefix sums run in np.longdouble, whose width depends on the platform (80-bit
-on x86-64 Linux, quad precision on aarch64 Linux, float64 on Windows and
-macOS arm64), so 'pre'/'rec' thresholds and the bytes built on them may
-differ between platforms. The digests are therefore keyed by the mantissa
-bits of np.longdouble, and a platform with no recorded key skips. The
-recorded digests come from x86-64 Linux with Python 3.11 and numpy 2.4.6.
+Ranking sums run in float64 in sequence, so the digests are not keyed by
+platform. The largest adjacency eigenvalue, which sets every r0-derived
+infection rate, still goes through BLAS: that is the one platform dependence
+left. The recorded digests come from x86-64 Linux with Python 3.11 and numpy
+2.4.6.
 
 The CLI digest file is in `sha256sum` format with the paths CI uses, so CI
 checks the console-script chain against it with `sha256sum -c`.
@@ -19,15 +18,11 @@ checks the console-script chain against it with `sha256sum -c`.
 import hashlib
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 from sourceset.cli import main
 from sourceset.diffusion import GenerativeConfig
 from sourceset.experiment import ExperimentConfig, run_experiment, write_reports
 
-KEY = f"longdouble-nmant-{np.finfo(np.longdouble).nmant}"
-GOLDEN = Path(__file__).parent / "golden" / KEY
+GOLDEN = Path(__file__).parent / "golden"
 
 # the desk generative configuration of the acceptance suite
 DESK_GEN = GenerativeConfig(source_count=(1, 10), r0=(1.0, 10.0),
@@ -39,12 +34,9 @@ DESK_RUNS = (("heuristic", {}), ("oracle:1.0", {}),
 
 
 def recorded(name: str) -> dict[str, str]:
-    """{path: digest} from a sha256sum-format file of the platform's key."""
-    path = GOLDEN / name
-    if not path.exists():
-        pytest.skip(f"no golden digests recorded for {KEY}")
+    """{path: digest} from a sha256sum-format file."""
     table = {}
-    for line in path.read_text().splitlines():
+    for line in (GOLDEN / name).read_text().splitlines():
         digest, name = line.split("  ", 1)
         table[name] = digest
     return table
