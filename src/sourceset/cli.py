@@ -255,7 +255,7 @@ def _config_from_file(path: str) -> experiment.ExperimentConfig:
 @click.option("--axis", type=click.Choice(["none", "alpha", "beta", "r0", "n_sources"]),
               default="none", show_default=True)
 @click.option("--values", default=None,
-              help="Comma-separated axis values (ranges as LO:HI for r0).")
+              help="Comma-separated axis values (ranges as LO:HI for r0 and n_sources).")
 @click.option("--out-dir", required=True, type=click.Path())
 @click.option("--timing/--no-timing", default=False, show_default=True,
               help="Include wall-clock runtimes in the per-trial CSV.")
@@ -275,6 +275,8 @@ def sweep(config_path, axis, values, out_dir, timing):
     parsed = []
     for tok in values.split(","):
         if ":" in tok:
+            if axis not in ("r0", "n_sources"):
+                raise click.UsageError(f"--axis {axis} takes no LO:HI range, got {tok!r}")
             lo, hi = tok.split(":")
             parsed.append((float(lo), float(hi)))
         elif axis == "n_sources":

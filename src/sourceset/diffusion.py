@@ -79,6 +79,10 @@ class SirParams:
             raise ValueError(f"sigma_rec must be in [0, 1), got {self.sigma_rec}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if self.horizon >= 2**63:  # observation times are int64
+            raise ValueError(f"horizon must be < 2**63, got {self.horizon}")
+        if self.r0 is not None and not 0.0 < self.r0 < np.inf:  # also rejects NaN
+            raise ValueError(f"r0 must be null or a finite number > 0, got {self.r0}")
 
     @classmethod
     def from_r0(cls, r0: float, sigma_rec: float, lambda1: float,
@@ -328,7 +332,7 @@ def _draw_sample(rng: np.random.Generator, graph: Graph, gen: GenerativeConfig,
     sigma_rec = _draw(rng, gen.sigma_rec)
     if gen.r0 is not None:
         r0 = _draw(rng, gen.r0)
-        sigma_inf = r0 * sigma_rec / lambda1
+        sigma_inf = SirParams.from_r0(r0, sigma_rec, lambda1).sigma_inf
     else:
         sigma_inf = _draw(rng, gen.sigma_inf)
         r0 = sigma_inf * lambda1 / sigma_rec if sigma_rec > 0.0 and lambda1 else None
@@ -354,8 +358,8 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
     independent of execution order. Samples are simulated in chunks of as
     many as fit SIM_CHUNK_BYTES of uniforms; the chunk size changes no
     sample. Source sets are drawn uniformly without replacement from all
-    nodes. An r0 range whose upper ends derive sigma_inf > 1 is rejected
-    before the first sample.
+    nodes. An r0 range whose upper ends derive sigma_inf > 1, and an r0
+    config on a graph without edges, are rejected before the first sample.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -367,6 +371,8 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
     if needs_lambda1 and lambda1 is None:
         lambda1 = spectral_radius(graph)
     if gen.r0 is not None:
+        if lambda1 <= 0.0:  # a graph without edges: from_r0 refuses it
+            SirParams.from_r0(_upper(gen.r0), _upper(gen.sigma_rec), lambda1)
         # sigma_inf = r0 * sigma_rec / lambda1 is largest at both upper ends
         worst = _upper(gen.r0) * _upper(gen.sigma_rec) / lambda1
         if worst > 1.0:
@@ -500,9 +506,11 @@ def load_dataset(path) -> tuple[list[LabeledSample], dict]:
 
     Sample indices must be distinct non-negative integers: they key the
     per-sample estimator streams, and a repeated index would be calibrated
-    and predicted twice. A record's times must be a non-empty list of
-    integers, its status a list of strings, its sources distinct node ids of
-    the sample, its rates numbers and its horizon an integer; each error
+    and predicted twice. A record's times must be a non-empty, strictly
+    increasing list of integers in [1, horizon], the range `observe` and
+    `sample_dataset` produce, its status a list of strings, its sources
+    distinct node ids of the sample, its rates numbers, its horizon an
+    integer below 2**63 and its r0 null or a finite number > 0; each error
     names the sample.
     """
     header: dict = {}
@@ -523,12 +531,18 @@ def load_dataset(path) -> tuple[list[LabeledSample], dict]:
         indices.add(index)
         where = f"{path}: sample {index}"
         _check_field_types(rec, where)
-        times = np.asarray(rec["times"], dtype=np.int64)
-        statuses = _parse_statuses(rec.get("status"), times.size, where)
+        times = rec["times"]
+        statuses = _parse_statuses(rec.get("status"), len(times), where)
         try:
-            x = SnapshotMatrix(statuses=statuses, times=times)
+            # order before range, so unordered times keep their message, and
+            # both before the int64 conversion, which 2**63 or more overflows
+            if any(b <= a for a, b in zip(times, times[1:])):
+                raise ValueError("observation times must be strictly increasing")
             params = SirParams(sigma_inf=rec["sigma_inf"], sigma_rec=rec["sigma_rec"],
                                horizon=rec["horizon"], r0=rec.get("r0"))
+            if times[0] < 1 or times[-1] > params.horizon:
+                raise ValueError("times must lie in [1, horizon]")
+            x = SnapshotMatrix(statuses=statuses, times=np.asarray(times, dtype=np.int64))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
         sources = _parse_sources(rec.get("sources"), x.n_nodes, where)

@@ -11,8 +11,9 @@ block of samples; `estimate_blocks` feeds it a sequence block by block. The
 heuristic's batch is `estimate_heuristic_batch` over the block's stacked
 time-major (rows, m, n_nodes) snapshots, and `estimate_heuristic` is its
 batch of one, so a block row and the per-sample vector are the same bits.
-The other estimators score row by row, and only "oracle:" and "mc:" draw
-from the per-row rngs.
+The other estimators score row by row. `batch` is given a function
+`rng_of(sample)` rather than the rngs themselves: "oracle:" and "mc:" call
+it once per row, and "heuristic" and "file:" draw nothing and never call it.
 """
 
 from __future__ import annotations
@@ -231,17 +232,17 @@ def load_prob_vectors(path, n_nodes: int | None = None) -> dict[int, np.ndarray]
 class Estimator:
     """A built estimator spec.
 
-    `batch(samples, rngs)` returns the (len(samples), n_nodes) probability
-    vectors of a block, row r from `samples[r]` and `rngs[r]`. An estimator
-    with `needs_rng` unset draws nothing and is given None for every rng.
-    Calling the record as `(sample, rng)` runs its batch of one.
+    `batch(samples, rng_of)` returns the (len(samples), n_nodes) probability
+    vectors of a block, row r from `samples[r]`. An estimator that draws
+    calls `rng_of(samples[r])` once for row r; one that draws nothing never
+    calls it. Calling the record as `(sample, rng)` runs its batch of one
+    with `rng` as that row's rng.
     """
 
-    batch: Callable[[Sequence[LabeledSample], Sequence], np.ndarray]
-    needs_rng: bool
+    batch: Callable[[Sequence[LabeledSample], Callable], np.ndarray]
 
     def __call__(self, sample: LabeledSample, rng) -> np.ndarray:
-        return self.batch([sample], [rng])[0]
+        return self.batch([sample], lambda _: rng)[0]
 
 
 def parse_estimator_spec(spec: str) -> tuple[str, object]:
@@ -280,12 +281,10 @@ def parse_estimator_spec(spec: str) -> tuple[str, object]:
     raise ValueError(f"unknown estimator spec {spec!r}")
 
 
-def _per_row(estimate, needs_rng: bool) -> Estimator:
-    """An Estimator whose batch stacks `estimate(sample, rng)` row by row."""
-    return Estimator(
-        batch=lambda samples, rngs: np.stack(
-            [estimate(s, rng) for s, rng in zip(samples, rngs, strict=True)]),
-        needs_rng=needs_rng)
+def _per_row(estimate) -> Estimator:
+    """An Estimator whose batch stacks `estimate(sample, rng_of)` row by row."""
+    return Estimator(batch=lambda samples, rng_of: np.stack(
+        [estimate(s, rng_of) for s in samples]))
 
 
 def build_estimator(spec: str, graph: Graph) -> Estimator:
@@ -296,23 +295,22 @@ def build_estimator(spec: str, graph: Graph) -> Estimator:
     """
     kind, arg = parse_estimator_spec(spec)
     if kind == "heuristic":
-        return Estimator(
-            batch=lambda samples, rngs: estimate_heuristic_batch(
-                np.stack([s.x.statuses.T for s in samples]), graph),
-            needs_rng=False)
+        return Estimator(batch=lambda samples, rng_of: estimate_heuristic_batch(
+            np.stack([s.x.statuses.T for s in samples]), graph))
     if kind == "oracle":
-        return _per_row(lambda sample, rng: estimate_oracle(sample, arg, rng), True)
+        return _per_row(lambda sample, rng_of: estimate_oracle(
+            sample, arg, rng_of(sample)))
     if kind == "mc":
-        return _per_row(lambda sample, rng: estimate_monte_carlo(
-            sample.x, graph, sample.params, arg, rng), True)
+        return _per_row(lambda sample, rng_of: estimate_monte_carlo(
+            sample.x, graph, sample.params, arg, rng_of(sample)))
     table = load_prob_vectors(arg, n_nodes=graph.n_nodes)
 
-    def lookup(sample, rng):
+    def lookup(sample, rng_of):
         if sample.index not in table:
             raise ValueError(f"{arg}: no probability row for sample {sample.index}")
         return table[sample.index]
 
-    return _per_row(lookup, False)
+    return _per_row(lookup)
 
 
 def estimate_blocks(estimator: Estimator, samples, rng_of):
@@ -320,22 +318,15 @@ def estimate_blocks(estimator: Estimator, samples, rng_of):
 
     Yields (block, probs) pairs: `block` is a run of at most
     ESTIMATE_BLOCK_ROWS consecutive samples of one window length, and
-    `probs` its `estimator.batch` rows. Row r's rng is `rng_of(block[r])`
-    when `estimator.needs_rng` is set, and None otherwise, so estimators
-    that draw nothing create no rng.
+    `probs` its `estimator.batch(block, rng_of)` rows. Only estimators that
+    draw call `rng_of`, once per row, so the others create no rng.
     """
-
-    def score(block):
-        rngs = ([rng_of(s) for s in block] if estimator.needs_rng
-                else [None] * len(block))
-        return estimator.batch(block, rngs)
-
     block = []
     for sample in samples:
         if block and (len(block) == ESTIMATE_BLOCK_ROWS
                       or sample.x.n_snapshots != block[0].x.n_snapshots):
-            yield block, score(block)
+            yield block, estimator.batch(block, rng_of)
             block = []
         block.append(sample)
     if block:
-        yield block, score(block)
+        yield block, estimator.batch(block, rng_of)

@@ -55,6 +55,25 @@ class TestExitCodes:
         assert "sigma_inf = 1.4" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_r0_on_graph_without_edges_is_validation_error(self, tmp_path, capsys):
+        edges = tmp_path / "e.txt"
+        edges.write_text("# nodes: 5\n")
+        out = tmp_path / "d.jsonl"
+        assert run("simulate", "--graph", f"file:{edges}", "--r0", "2",
+                   "--sigma-rec", "0.2", "--sources", "1", "--samples", "3",
+                   "--seed", "1", "--out", str(out)) == 1
+        assert "requires a positive spectral radius" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axis", ["alpha", "beta"])
+    def test_range_on_level_axis_is_validation_error(self, tmp_path, capsys, axis):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph_spec": "complete:5", "generative": {}}))
+        assert run("sweep", "--config", str(cfg), "--axis", axis,
+                   "--values", "0.1:0.2", "--out-dir", str(tmp_path / "o")) == 1
+        assert f"--axis {axis} takes no LO:HI range, got '0.1:0.2'" in \
+            capsys.readouterr().err
+
     def test_non_finite_probability_file_is_validation_error(self, tmp_path):
         data = tmp_path / "d.jsonl"
         probs = tmp_path / "probs.txt"

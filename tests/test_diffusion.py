@@ -281,6 +281,16 @@ class TestSampleDataset:
         with pytest.raises(ValueError, match="sigma_inf"):
             sample_dataset(g, self.gen(r0=(25.0, 25.0)), 10, seed=3)
 
+    @pytest.mark.parametrize("edges, sigma_rec, message", [
+        ([], 0.2, "requires a positive spectral radius"),
+        ([], 0.0, "requires sigma_rec > 0"),
+        ([(0, 1), (1, 2)], 0.0, "requires sigma_rec > 0")])
+    def test_r0_config_refused_with_from_r0_error(self, edges, sigma_rec, message):
+        g = build_graph(5, edges)
+        with pytest.raises(ValueError, match=message):
+            sample_dataset(g, self.gen(r0=2.0, sigma_rec=sigma_rec, source_count=1),
+                           3, seed=1)
+
     def test_r0_range_too_fast_rejected_before_first_sample(self, monkeypatch):
         # lambda1 ~ 10.74, so r0 = 40 at sigma_rec = 0.4 derives sigma_inf ~ 1.49
         g = barabasi_albert_graph(200, 3, seed=0)
@@ -470,7 +480,17 @@ class TestDatasetCodec:
         ("r0", False, "r0 must be a number or null"),
         ("times", MISSING, "times must be a non-empty list of integers"),
         ("sigma_inf", MISSING, "sigma_inf must be a number"),
-        ("horizon", MISSING, "horizon must be an integer")])
+        ("horizon", MISSING, "horizon must be an integer"),
+        ("times", [0, 1, 2], "times must lie in [1, horizon]"),
+        ("times", [-5, 1, 2], "times must lie in [1, horizon]"),
+        ("times", [1, 2, 1000], "times must lie in [1, horizon]"),
+        ("times", [1, 2, 2**70], "times must lie in [1, horizon]"),
+        ("horizon", 2**63, f"horizon must be < 2**63, got {2**63}"),
+        ("horizon", 2**70, f"horizon must be < 2**63, got {2**70}"),
+        ("r0", float("nan"), "r0 must be null or a finite number > 0, got nan"),
+        ("r0", float("inf"), "r0 must be null or a finite number > 0, got inf"),
+        ("r0", 0, "r0 must be null or a finite number > 0, got 0"),
+        ("r0", -1.5, "r0 must be null or a finite number > 0, got -1.5")])
     def test_bad_status_or_sources_names_the_sample(self, tmp_path, field, bad, message):
         path = self.dataset(tmp_path)
 

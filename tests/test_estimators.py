@@ -380,13 +380,12 @@ class TestEstimateBlocks:
         estimator = build_estimator(spec, g)
         direct = self.direct(spec, g, table)
         for s in samples[::3]:
-            rng = substream(6, s.index) if estimator.needs_rng else None
-            assert np.array_equal(estimator(s, rng), direct(s))
+            assert np.array_equal(estimator(s, substream(6, s.index)), direct(s))
 
     @pytest.mark.parametrize("spec", ["heuristic", "oracle:0.4", "mc:2", "file"])
     def test_wrapped_estimator_gives_the_same_rows(self, tmp_path, spec):
         """A bare function made with functools.wraps, as a timing wrapper
-        would return it, keeps `batch` and `needs_rng` and so the same rows."""
+        would return it, keeps `batch` and so the same rows."""
         g, samples, spec, table = self.case(tmp_path, spec)
         estimator = build_estimator(spec, g)
 
@@ -394,7 +393,6 @@ class TestEstimateBlocks:
         def wrapped(sample, rng):
             return estimator(sample, rng)
 
-        assert wrapped.needs_rng == estimator.needs_rng
         plain, plain_created = self.blocks(estimator, samples)
         traced, traced_created = self.blocks(wrapped, samples)
         assert traced_created == plain_created
@@ -422,13 +420,23 @@ class TestBuildEstimator:
         with pytest.raises(ValueError):
             build_estimator("gnn", g)
 
-    def test_needs_rng_only_for_estimators_that_draw(self, tmp_path):
+    def test_rng_of_called_once_per_row_only_by_estimators_that_draw(self, tmp_path):
         g = complete_graph(5)
-        save_prob_vectors({0: np.full(5, 0.5)}, 5, tmp_path / "p.txt")
-        needs = {spec: build_estimator(spec, g).needs_rng
-                 for spec in ("heuristic", "oracle:0.5", "oracle", "mc:3", "mc",
-                              f"file:{tmp_path / 'p.txt'}")}
-        assert list(needs.values()) == [False, True, True, True, True, False]
+        samples = random_samples(g, 3, seed=2, n_snapshots=2)
+        save_prob_vectors({s.index: np.full(5, 0.5) for s in samples}, 5,
+                          tmp_path / "p.txt")
+        calls = {}
+        for spec in ("heuristic", "oracle:0.5", "oracle", "mc:3", "mc",
+                     f"file:{tmp_path / 'p.txt'}"):
+            asked = calls[spec] = []
+
+            def rng_of(sample, asked=asked):
+                asked.append(sample.index)
+                return substream(1, sample.index)
+
+            assert build_estimator(spec, g).batch(samples, rng_of).shape == (3, 5)
+        rows = [s.index for s in samples]
+        assert list(calls.values()) == [[], rows, rows, rows, rows, []]
 
     def test_defaults(self):
         assert parse_estimator_spec("oracle") == ("oracle", 0.0)
