@@ -250,6 +250,25 @@ def _config_from_file(path: str) -> experiment.ExperimentConfig:
         raise click.ClickException(f"{path}: bad config: {exc}")
 
 
+def _sweep_value(tok: str, axis: str):
+    """One --values token: LO:HI (a float pair) for r0 and n_sources, else
+    an integer for n_sources and a float for the other axes."""
+    parts = tok.split(":")
+    if len(parts) > 1 and axis not in ("r0", "n_sources"):
+        raise click.UsageError(f"--axis {axis} takes no LO:HI range, got {tok!r}")
+    if len(parts) > 2:
+        raise click.UsageError(f"--values: bad {axis} value {tok!r} "
+                               f"(expected VALUE or LO:HI)")
+    cast = int if axis == "n_sources" and len(parts) == 1 else float
+    try:
+        values = [cast(part) for part in parts]
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise click.UsageError(f"--values: bad {axis} value {tok!r} "
+                               f"(expected {kind})") from None
+    return tuple(values) if len(values) == 2 else values[0]
+
+
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--axis", type=click.Choice(["none", "alpha", "beta", "r0", "n_sources"]),
@@ -272,17 +291,7 @@ def sweep(config_path, axis, values, out_dir, timing):
         return
     if not values:
         raise click.UsageError("--values is required when --axis is set")
-    parsed = []
-    for tok in values.split(","):
-        if ":" in tok:
-            if axis not in ("r0", "n_sources"):
-                raise click.UsageError(f"--axis {axis} takes no LO:HI range, got {tok!r}")
-            lo, hi = tok.split(":")
-            parsed.append((float(lo), float(hi)))
-        elif axis == "n_sources":
-            parsed.append(int(tok))
-        else:
-            parsed.append(float(tok))
+    parsed = [_sweep_value(tok, axis) for tok in values.split(",")]
     for value, report in experiment.sweep(cfg, axis, parsed):
         tag = str(value).replace(" ", "").replace("(", "").replace(")", "") \
             .replace(",", "-")

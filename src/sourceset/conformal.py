@@ -539,13 +539,22 @@ def save_model(model: ConformalModel, path, seed=None, config: dict | None = Non
         fh.write(json.dumps(rec) + "\n")
 
 
+_MODEL_FIELDS = ("score", "alpha", "beta", "q_hat", "n_cal")
+
+
 def load_model(path) -> tuple[ConformalModel, dict]:
+    """Read a model file; returns (model, header). A model record that lacks
+    one of the fields `save_model` writes, or holds an unusable value, is
+    refused with an error naming the file."""
     header: dict = {}
     model = None
     for rec in read_jsonl(path):
         if rec.get("record") == "header":
             header = rec
         elif rec.get("record") == "model":
+            missing = next((f for f in _MODEL_FIELDS if f not in rec), None)
+            if missing is not None:
+                raise ValueError(f"{path}: model record lacks field {missing!r}")
             q = rec["q_hat"]
             try:
                 model = ConformalModel(
@@ -554,7 +563,7 @@ def load_model(path) -> tuple[ConformalModel, dict]:
                     q_hat=math.inf if q == "inf" else float(q),
                     n_cal=rec["n_cal"],
                 )
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: {exc}") from None
     if model is None:
         raise ValueError(f"{path}: no model record found")

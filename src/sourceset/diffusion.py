@@ -11,9 +11,12 @@ step t. Setting sigma_rec = 0 yields the SI model.
 
 `simulate_batch` advances many independent cascades (rows) together. Row r
 reads only its own uniforms, uniforms[r, t - 1, v] for node v at step t, so
-its trajectory does not depend on the batch it runs in. Infected-neighbor
-counts are kept per row and updated each step by one CSR gather over the
-nodes whose status just changed; no N x N array is built.
+its trajectory does not depend on the batch it runs in. The rows of a call
+are treated as one graph of rows * N nodes, node v of row r being flat node
+r * N + v, with one flat arc table built per call. Infected-neighbor counts
+are kept per flat node and updated each step by one scatter of +1 (S -> I)
+or -1 (I -> R) over the arcs of the nodes whose status just changed; no
+N x N array is built.
 
 Draw order. `simulate(graph, params, sources, rng)` draws one block
 rng.random((horizon, n_nodes)) and nothing else. `sample_dataset` gives
@@ -22,6 +25,11 @@ the source count, sigma_rec, r0 (or sigma_inf), the source set, then the
 uniform block of shape (t_last, n_nodes), t_last being the last observed
 instant. A sample is therefore the same for every chunk size, and equals
 `simulate` run on its substream right after the source set is drawn.
+
+Dataset files. `save_dataset` writes one JSON line per sample, encoding the
+status strings with one bytes translation per sample, and `load_dataset`
+decodes them the same way; the files are the bytes `json.dumps` gives for
+the record (see the format note above `save_dataset`).
 
 Observed windows. `sample_dataset` gathers the observed window of every row
 of a chunk in one index, a time-major (rows, n_snapshots, n_nodes) array; a
@@ -43,9 +51,14 @@ from sourceset.util import (as_generator, check_node_set, read_jsonl, substream,
 
 SUSCEPTIBLE, INFECTED, RECOVERED = 0, 1, 2
 STATUS_ALPHABET = "SIR"
-_ALPHABET_BYTES = np.frombuffer(STATUS_ALPHABET.encode("ascii"), dtype=np.uint8)
-_BYTE_STATUS = np.full(256, -1, dtype=np.int8)  # -1: not a status character
-_BYTE_STATUS[_ALPHABET_BYTES] = np.arange(len(STATUS_ALPHABET))
+# translate tables between status codes and characters. Every byte outside
+# the alphabet maps to 0xff: the ASCII decode of encoded text refuses it, and
+# the decoder looks for it.
+_ENCODE = STATUS_ALPHABET.encode("ascii").ljust(256, b"\xff")
+_DECODE = bytes(STATUS_ALPHABET.index(chr(b)) if chr(b) in STATUS_ALPHABET else 0xFF
+                for b in range(256))
+# by a node's new status: S -> I adds 1 to its neighbors' k, I -> R takes 1
+_MOVE_SIGN = np.array([0, 1, -1])
 
 # sample_dataset and the Monte Carlo estimator simulate in chunks whose
 # pre-drawn uniforms take about this many bytes (at least one row per chunk).
@@ -157,7 +170,8 @@ def simulate_batch(graph: Graph, sources: np.ndarray, sigma_inf, sigma_rec,
     uniforms: (rows, horizon, n_nodes) values in [0, 1]; a row padded with
     1.0 from some step on stays frozen from there. Returns the statuses
     (rows, horizon + 1, n_nodes) int8. Every row depends only on its own
-    inputs, bit for bit.
+    inputs, bit for bit. The call holds a flat arc table of
+    rows * len(graph.indices) int64 entries.
     """
     rows, horizon, n = uniforms.shape
     if sources.shape != (rows, n):
@@ -182,16 +196,26 @@ def simulate_batch(graph: Graph, sources: np.ndarray, sigma_inf, sigma_rec,
     flat_code = code.ravel()
     flat_status = status.ravel()
 
-    def add_neighbor_counts(flat_nodes: np.ndarray, sign: int) -> None:
-        """Add sign to the k of every neighbor of the flat row * n + node ids."""
-        if flat_nodes.size == 0:
-            return
-        nodes = flat_nodes % n
-        targets = graph.neighbors_of_many(nodes) \
-            + np.repeat(flat_nodes - nodes, graph.degrees[nodes])
-        np.add.at(flat_code, targets, sign)
+    # the rows as one graph of rows * n nodes: flat node r * n + v has the
+    # arcs r * len(indices) + indptr[v] .. of the flat arc table
+    row = np.arange(rows, dtype=np.int64)[:, None]
+    arc_head = (graph.indices + row * n).ravel()
+    arc_first = (graph.indptr[:-1] + row * graph.indices.size).ravel()
+    degree = np.tile(graph.degrees, rows)
 
-    add_neighbor_counts(np.flatnonzero(sources), 1)
+    def scatter(flat_nodes: np.ndarray) -> None:
+        """Add the sign of each node's last move (S -> I: +1, I -> R: -1)
+        to the k of each of its neighbors."""
+        counts = degree[flat_nodes]
+        ends = np.cumsum(counts)
+        arcs = np.repeat(arc_first[flat_nodes] - ends + counts, counts)
+        arcs += np.arange(ends[-1])
+        np.add.at(flat_code, arc_head[arcs],
+                  np.repeat(_MOVE_SIGN[flat_status[flat_nodes]], counts))
+
+    start = np.flatnonzero(sources)
+    if start.size:
+        scatter(start)
     out = np.empty((rows, horizon + 1, n), dtype=np.int8)
     out[:, 0] = status
     for t in range(horizon):
@@ -201,9 +225,7 @@ def simulate_batch(graph: Graph, sources: np.ndarray, sigma_inf, sigma_rec,
         changed = np.flatnonzero(moved)
         if changed.size:
             flat_code[changed] += width
-            now = flat_status[changed]
-            add_neighbor_counts(changed[now == INFECTED], 1)
-            add_neighbor_counts(changed[now == RECOVERED], -1)
+            scatter(changed)
     return out
 
 
@@ -426,13 +448,13 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
 
 def _status_strings(x: SnapshotMatrix) -> list[str]:
     n = x.n_nodes
-    text = _ALPHABET_BYTES[x.statuses.T].tobytes().decode("ascii")
+    text = x.statuses.T.tobytes().translate(_ENCODE).decode("ascii")
     return [text[j * n:(j + 1) * n] for j in range(x.n_snapshots)]
 
 
 def _parse_statuses(strings, n_times: int, where: str) -> np.ndarray:
-    """Status strings of one sample record -> (n_nodes, n_snapshots) codes;
-    `where` names the record in error messages."""
+    """Status strings of one sample record -> writable (n_nodes, n_snapshots)
+    int8 codes; `where` names the record in error messages."""
     if not isinstance(strings, list) or not all(isinstance(snap, str) for snap in strings):
         raise ValueError(f"{where}: status must be a list of strings")
     if len(strings) != n_times:
@@ -441,13 +463,14 @@ def _parse_statuses(strings, n_times: int, where: str) -> np.ndarray:
     n = len(strings[0]) if strings else 0
     if any(len(snap) != n for snap in strings):
         raise ValueError(f"{where}: status strings of unequal length")
-    raw = "".join(strings).encode("utf-8")
-    codes = _BYTE_STATUS[np.frombuffer(raw, dtype=np.uint8)]
-    if raw and codes.min() < 0:
-        bad = next(c for c in "".join(strings) if c not in STATUS_ALPHABET)
+    text = "".join(strings)
+    codes = bytearray(text.encode("utf-8")).translate(_DECODE)
+    if 0xFF in codes:
+        bad = next(c for c in text if c not in STATUS_ALPHABET)
         raise ValueError(f"{where}: status character {bad!r} "
                          f"outside {STATUS_ALPHABET!r}")
-    return codes.reshape(len(strings), n).T
+    # a bytearray buffer keeps the array writable
+    return np.frombuffer(codes, dtype=np.int8).reshape(len(strings), n).T
 
 
 def _parse_sources(values, n_nodes: int, where: str) -> np.ndarray:
@@ -483,22 +506,25 @@ def _check_field_types(rec: dict, where: str) -> None:
         raise ValueError(f"{where}: r0 must be a number or null")
 
 
+def _sample_line(s: LabeledSample) -> str:
+    """One sample record as `json.dumps` writes it. The status strings hold
+    only S, I and R, which JSON writes verbatim, so they are spliced in
+    without passing through the encoder."""
+    head = json.dumps({"record": "sample", "index": s.index,
+                       "times": s.x.times.tolist()})
+    tail = json.dumps({"sources": s.sources.tolist(),
+                       "sigma_inf": s.params.sigma_inf,
+                       "sigma_rec": s.params.sigma_rec,
+                       "r0": s.params.r0,
+                       "horizon": s.params.horizon})
+    status = '", "'.join(_status_strings(s.x))
+    return f'{head[:-1]}, "status": ["{status}"], {tail[1:]}\n'
+
+
 def save_dataset(samples: list[LabeledSample], path, seed, config: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         write_jsonl_header(fh, "dataset", seed, config)
-        for s in samples:
-            rec = {
-                "record": "sample",
-                "index": s.index,
-                "times": s.x.times.tolist(),
-                "status": _status_strings(s.x),
-                "sources": s.sources.tolist(),
-                "sigma_inf": s.params.sigma_inf,
-                "sigma_rec": s.params.sigma_rec,
-                "r0": s.params.r0,
-                "horizon": s.params.horizon,
-            }
-            fh.write(json.dumps(rec) + "\n")
+        fh.writelines(_sample_line(s) for s in samples)
 
 
 def load_dataset(path) -> tuple[list[LabeledSample], dict]:

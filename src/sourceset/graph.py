@@ -53,20 +53,6 @@ class Graph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def neighbors_of_many(self, nodes: np.ndarray) -> np.ndarray:
-        """Concatenated neighbor lists of `nodes`, in input order."""
-        if nodes.size == 0:
-            return np.empty(0, dtype=self.indices.dtype)
-        starts = self.indptr[nodes]
-        counts = self.degrees[nodes]
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=self.indices.dtype)
-        # flat CSR positions: starts[i] + (0 .. counts[i]-1) for each node
-        bases = np.repeat(starts - np.concatenate(([0], np.cumsum(counts)[:-1])),
-                          counts)
-        return self.indices[bases + np.arange(total)]
-
     def _arc_sources(self) -> np.ndarray:
         """Source node of every CSR arc, aligned with `indices`."""
         return np.repeat(np.arange(self.n_nodes), self.degrees)

@@ -74,6 +74,25 @@ class TestExitCodes:
         assert f"--axis {axis} takes no LO:HI range, got '0.1:0.2'" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis, token, expected", [
+        ("r0", "1:2:3", "expected VALUE or LO:HI"),
+        ("n_sources", "1:2:3", "expected VALUE or LO:HI"),
+        ("r0", "x", "expected a number"),
+        ("r0", "2:x", "expected a number"),
+        ("alpha", "x", "expected a number"),
+        ("n_sources", "1.5", "expected an integer"),
+        ("n_sources", "", "expected an integer")])
+    def test_bad_sweep_value_names_option_axis_and_token(self, tmp_path, capsys,
+                                                         axis, token, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"graph_spec": "complete:5", "generative": {}}))
+        out = tmp_path / "o"
+        assert run("sweep", "--config", str(cfg), "--axis", axis,
+                   "--values", f"2,{token}", "--out-dir", str(out)) == 1
+        assert f"--values: bad {axis} value {token!r} ({expected})" in \
+            capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_non_finite_probability_file_is_validation_error(self, tmp_path):
         data = tmp_path / "d.jsonl"
         probs = tmp_path / "probs.txt"
@@ -127,7 +146,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("field, token", [
         ("q_hat", "NaN"), ("q_hat", '"nan"'), ("q_hat", '"-inf"'),
-        ("q_hat", "-Infinity"), ("score", '"max"'), ("alpha", '"0.1"'), ("n_cal", '"x"')])
+        ("q_hat", "-Infinity"), ("q_hat", "[1]"), ("score", '"max"'), ("alpha", '"0.1"'),
+        ("n_cal", '"x"')])
     def test_model_without_usable_threshold_is_validation_error(self, tmp_path, capsys,
                                                                  field, token):
         data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
@@ -142,6 +162,24 @@ class TestExitCodes:
         assert run("predict", "--model", str(model), "--data", str(data),
                    "--out", str(sets)) == 1
         assert f"{model}: " in capsys.readouterr().err
+        assert not sets.exists()
+
+    @pytest.mark.parametrize("field", ["score", "alpha", "beta", "q_hat", "n_cal"])
+    def test_model_without_a_field_names_file_and_field(self, tmp_path, capsys, field):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        sets = tmp_path / "sets.jsonl"
+        assert run(*simulate_args(data, samples=20)) == 0
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.2", "--out", str(model)) == 0
+        header, rec = model.read_text().splitlines()
+        rec = json.loads(rec)
+        del rec[field]
+        model.write_text(f"{header}\n{json.dumps(rec)}\n")
+        capsys.readouterr()
+        assert run("predict", "--model", str(model), "--data", str(data),
+                   "--out", str(sets)) == 1
+        assert capsys.readouterr().err == \
+            f"error: {model}: model record lacks field {field!r}\n"
         assert not sets.exists()
 
     def test_evaluate_duplicate_prediction_is_validation_error(self, tmp_path, capsys):

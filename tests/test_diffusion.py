@@ -24,6 +24,7 @@ from sourceset.graph import (
     barabasi_albert_graph,
     build_graph,
     complete_graph,
+    erdos_renyi_graph,
     spectral_radius,
 )
 from sourceset.util import substream
@@ -42,6 +43,57 @@ def reference_status_strings(x):
     """Per-character status encoder: one string per snapshot column."""
     chars = np.array(list("SIR"))
     return ["".join(chars[x.statuses[:, j]]) for j in range(x.n_snapshots)]
+
+
+def reference_simulate_batch(graph, sources, sigma_inf, sigma_rec, uniforms):
+    """The simulator step that the flat arc table replaced: per-row neighbor
+    counts updated by two CSR gathers per step, one for the nodes that turned
+    infected and one for those that recovered."""
+    rows, horizon, n = uniforms.shape
+    width = int(graph.degrees.max(initial=0)) + 1
+    table = np.zeros((rows, 3, width))
+    table[:, SUSCEPTIBLE, 0] = 1.0
+    table[:, SUSCEPTIBLE, 1:] = 1.0 - np.asarray(sigma_inf, dtype=np.float64)[..., None]
+    np.cumprod(table[:, SUSCEPTIBLE], axis=1, out=table[:, SUSCEPTIBLE])
+    np.subtract(1.0, table[:, SUSCEPTIBLE], out=table[:, SUSCEPTIBLE])
+    table[:, INFECTED] = np.asarray(sigma_rec, dtype=np.float64)[..., None]
+    table = table.ravel()
+    status = np.where(sources, INFECTED, SUSCEPTIBLE).astype(np.int8)
+    code = (np.arange(rows)[:, None] * 3 + status) * width
+    flat_code = code.ravel()
+    flat_status = status.ravel()
+
+    def neighbors_of_many(nodes):
+        counts = graph.degrees[nodes]
+        total = int(counts.sum())
+        if total == 0:
+            return np.empty(0, dtype=graph.indices.dtype)
+        bases = np.repeat(graph.indptr[nodes]
+                          - np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
+        return graph.indices[bases + np.arange(total)]
+
+    def add_neighbor_counts(flat_nodes, sign):
+        if flat_nodes.size == 0:
+            return
+        nodes = flat_nodes % n
+        targets = neighbors_of_many(nodes) \
+            + np.repeat(flat_nodes - nodes, graph.degrees[nodes])
+        np.add.at(flat_code, targets, sign)
+
+    add_neighbor_counts(np.flatnonzero(sources), 1)
+    out = np.empty((rows, horizon + 1, n), dtype=np.int8)
+    out[:, 0] = status
+    for t in range(horizon):
+        moved = uniforms[:, t] < table[code]
+        status += moved
+        out[:, t + 1] = status
+        changed = np.flatnonzero(moved)
+        if changed.size:
+            flat_code[changed] += width
+            now = flat_status[changed]
+            add_neighbor_counts(changed[now == INFECTED], 1)
+            add_neighbor_counts(changed[now == RECOVERED], -1)
+    return out
 
 
 def three_sigma_band(p, trials):
@@ -184,6 +236,36 @@ class TestSimulateBatch:
             single = simulate_batch(g, start[r:r + 1], cases[r][0], cases[r][1],
                                     uniforms[r:r + 1])
             assert np.array_equal(single[0], batch[r])
+
+    @pytest.mark.parametrize("graph", [
+        barabasi_albert_graph(60, 2, seed=3),
+        erdos_renyi_graph(40, 0.04, seed=5),
+        complete_graph(12),
+        build_graph(50, [(0, j) for j in range(1, 50)] + [(1, 2), (3, 4), (2, 49)])],
+    # the ER graph has 4 isolated nodes; the star's hub has degree 49
+        ids=["ba", "er-isolated", "complete", "star-hub"])
+    @pytest.mark.parametrize("dynamics", ["sir", "si"])
+    def test_bit_identical_to_reference_step(self, graph, dynamics):
+        n, rows, horizon = graph.n_nodes, 40, 12
+        rng = np.random.default_rng([2024, n, dynamics == "si"])
+        start = np.zeros((rows, n), dtype=bool)
+        for r in range(rows):
+            start[r, rng.choice(n, size=int(rng.integers(1, 6)), replace=False)] = True
+        start[0] = True  # every node a source
+        sigma_inf = rng.uniform(0.05, 1.0, rows)
+        sigma_rec = rng.uniform(0.05, 0.6, rows) if dynamics == "sir" else np.zeros(rows)
+        uniforms = rng.random((rows, horizon, n))
+        uniforms[1::2, horizon // 2:] = 1.0  # padded rows freeze mid-horizon
+        want = reference_simulate_batch(graph, start, sigma_inf, sigma_rec, uniforms)
+        assert np.any(want[:, -1] == INFECTED)
+        if dynamics == "sir":
+            assert np.any(want[:, -1] == RECOVERED)
+        assert np.array_equal(simulate_batch(graph, start, sigma_inf, sigma_rec,
+                                             uniforms), want)
+        for r in range(rows):  # chunks of one row, with scalar rates
+            got = simulate_batch(graph, start[r:r + 1], float(sigma_inf[r]),
+                                 float(sigma_rec[r]), uniforms[r:r + 1])
+            assert np.array_equal(got[0], want[r])
 
     def test_shape_checks(self):
         g = complete_graph(4)
@@ -405,6 +487,41 @@ class TestDatasetCodec:
         assert (tmp_path / "new.jsonl").read_bytes() == \
             (tmp_path / "ref.jsonl").read_bytes()
 
+    def test_lines_are_json_dumps_of_the_documented_record(self, tmp_path):
+        g = barabasi_albert_graph(320, 3, seed=4)
+        gen = GenerativeConfig(source_count=(1, 8), r0=(1.0, 10.0),
+                               sigma_rec=(0.1, 0.4), n_snapshots=9)
+        samples = sample_dataset(g, gen, 30, seed=6)
+        samples += sample_dataset(g, GenerativeConfig(
+            source_count=2, r0=None, sigma_inf=0.2, sigma_rec=0.0), 5, seed=7)
+        assert any(np.any(s.x.statuses == RECOVERED) for s in samples)
+        assert any(s.params.r0 is None for s in samples)
+        path = tmp_path / "d.jsonl"
+        save_dataset(samples, path, 6, {"graph_spec": "ba:320,3"})
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 1 + len(samples)
+        for line, s in zip(lines[1:], samples, strict=True):
+            rec = {"record": "sample", "index": s.index, "times": s.x.times.tolist(),
+                   "status": reference_status_strings(s.x),
+                   "sources": s.sources.tolist(), "sigma_inf": s.params.sigma_inf,
+                   "sigma_rec": s.params.sigma_rec, "r0": s.params.r0,
+                   "horizon": s.params.horizon}
+            assert line == json.dumps(rec) + "\n"
+
+    def test_load_gives_writable_int8_arrays_equal_to_the_saved(self, tmp_path):
+        g = barabasi_albert_graph(320, 3, seed=4)
+        samples = sample_dataset(g, GenerativeConfig(n_snapshots=5, stride=2), 12, seed=3)
+        path = tmp_path / "d.jsonl"
+        save_dataset(samples, path, 3, {})
+        loaded, _ = load_dataset(path)
+        for s, got in zip(samples, loaded, strict=True):
+            statuses = got.x.statuses
+            assert statuses.dtype == np.int8
+            assert statuses.shape == (g.n_nodes, 5)
+            assert statuses.flags.writeable
+            assert np.array_equal(statuses, s.x.statuses)
+            statuses[0, 0] = RECOVERED  # writes go through
+
     def edit_sample(self, path, sample_line, edit):
         lines = path.read_text().splitlines()
         rec = json.loads(lines[sample_line])
@@ -429,8 +546,10 @@ class TestDatasetCodec:
             rec["status"][2] = rec["status"][2][:5] + bad + rec["status"][2][6:]
 
         index = self.edit_sample(path, 3, put)
-        with pytest.raises(ValueError, match=f"sample {index}: status character"):
+        with pytest.raises(ValueError) as info:
             load_dataset(path)
+        assert str(info.value) == \
+            f"{path}: sample {index}: status character {bad!r} outside 'SIR'"
 
     def test_unequal_string_lengths_name_the_sample(self, tmp_path):
         path = self.dataset(tmp_path)
