@@ -19,7 +19,7 @@ import numpy as np
 from sourceset import conformal, experiment
 from sourceset.conformal import NominalLevels
 from sourceset.diffusion import GenerativeConfig, load_dataset, sample_dataset, save_dataset
-from sourceset.estimators import build_estimator, estimate_blocks
+from sourceset.estimators import build_estimator, estimate_blocks, parse_estimator_spec
 from sourceset.graph import graph_from_spec
 from sourceset.util import substream, write_jsonl_header, read_jsonl
 
@@ -92,13 +92,25 @@ def _check_node_counts(samples, graph, graph_spec: str, data_path: str) -> None:
                 f"graph {graph_spec} has {graph.n_nodes}")
 
 
-def _header_graph(header: dict, what: str):
-    """The graph a dataset or model header names, and the header's config."""
-    config = header.get("config", {})
-    spec = config.get("graph_spec")
-    if spec is None:
-        raise click.ClickException(f"{what} header lacks graph_spec")
-    return graph_from_spec(spec, seed=config.get("graph_seed", 0)), config
+def _header_field(config: dict, path: str, field: str, kind: type, default=None):
+    """config[field] of a file's header, which must be a `kind` (str or int,
+    never a bool); `default` when the field is absent and a default is given."""
+    if field not in config:
+        if default is None:
+            raise click.ClickException(f"{path}: header lacks {field!r}")
+        return default
+    value = config[field]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        noun = "a string" if kind is str else "an integer"
+        raise click.ClickException(
+            f"{path}: header field {field!r} must be {noun}, got {value!r}")
+    return value
+
+
+def _header_graph(config: dict, path: str):
+    """The graph a dataset or model header's config names."""
+    return graph_from_spec(_header_field(config, path, "graph_spec", str),
+                           seed=_header_field(config, path, "graph_seed", int, 0))
 
 
 def _estimates(spec: str, graph, samples, seed: int):
@@ -127,7 +139,8 @@ def calibrate(data_path, score, alpha, beta, estimator_spec, seed, out_path):
     samples, header = load_dataset(data_path)
     if not samples:
         raise click.ClickException(f"{data_path}: no samples")
-    graph, graph_config = _header_graph(header, "dataset")
+    graph_config = header.get("config", {})
+    graph = _header_graph(graph_config, data_path)
     _check_node_counts(samples, graph, graph_config["graph_spec"], data_path)
     # estimated block by block as calibrate consumes them
     pairs = ((probs, s.sources)
@@ -150,16 +163,17 @@ def predict(model_path, data_path, out_path):
     _require_file(model_path)
     _require_file(data_path)
     model, model_header = conformal.load_model(model_path)
-    estimator_spec = model_header.get("config", {}).get("estimator", "heuristic")
-    if estimator_spec.startswith("file:"):
+    model_config = model_header.get("config", {})
+    estimator_spec = _header_field(model_config, model_path, "estimator", str, "heuristic")
+    if parse_estimator_spec(estimator_spec)[0] == "file":
         raise click.ClickException(
             f"{model_path} was calibrated with estimator {estimator_spec!r}: its "
             f"rows are the calibration samples' probabilities, so a file: "
             f"estimator cannot be reused for a different dataset")
     samples, _ = load_dataset(data_path)
-    graph, model_config = _header_graph(model_header, "model")
+    graph = _header_graph(model_config, model_path)
     _check_node_counts(samples, graph, model_config["graph_spec"], data_path)
-    est_seed = model_config.get("estimator_seed", 0)
+    est_seed = _header_field(model_config, model_path, "estimator_seed", int, 0)
     estimates = _estimates(estimator_spec, graph, samples, est_seed)
     config = {"model": str(model_path), "data": str(data_path),
               "score": model.score, "alpha": model.levels.alpha,
@@ -251,8 +265,9 @@ def _config_from_file(path: str) -> experiment.ExperimentConfig:
 
 
 def _sweep_value(tok: str, axis: str):
-    """One --values token: LO:HI (a float pair) for r0 and n_sources, else
-    an integer for n_sources and a float for the other axes."""
+    """One --values token: LO:HI (a float pair, with whole-number ends for
+    n_sources) for r0 and n_sources, else an integer for n_sources and a
+    float for the other axes."""
     parts = tok.split(":")
     if len(parts) > 1 and axis not in ("r0", "n_sources"):
         raise click.UsageError(f"--axis {axis} takes no LO:HI range, got {tok!r}")
@@ -266,6 +281,11 @@ def _sweep_value(tok: str, axis: str):
         kind = "an integer" if cast is int else "a number"
         raise click.UsageError(f"--values: bad {axis} value {tok!r} "
                                f"(expected {kind})") from None
+    # a source-count range stays float, keeping report names like 2.0-5.0,
+    # but its ends must be whole numbers
+    if axis == "n_sources" and not all(float(v).is_integer() for v in values):
+        raise click.UsageError(f"--values: bad {axis} value {tok!r} "
+                               f"(expected whole-number ends)")
     return tuple(values) if len(values) == 2 else values[0]
 
 

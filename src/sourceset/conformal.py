@@ -57,7 +57,10 @@ _BRUTEFORCE_MAX_NODES = 16
 # arrays then take about 3 times as much. Larger blocks only save per-block
 # overhead: on a 2-vCPU Xeon, 7600 samples at N = 774 scored 'pre' in 0.10 s
 # with 1 MiB against 0.13 s with 64 KiB, but the scoring loop's peak of
-# traced memory grew from 1.3 MB to 3.2 MB.
+# traced memory grew from 1.3 MB to 3.2 MB. block_rows also caps the blocks
+# of estimators.estimate_blocks, whose heuristic temporaries grow with the
+# block: over 3 desk trials (ba:200,3, 700 samples each) peak RSS was
+# 43.0-43.2 MB at these 40-row blocks, against 43.4-43.5 MB at 16 rows.
 _SCORE_BLOCK_BYTES = 1 << 16
 
 
@@ -218,10 +221,11 @@ class RankedBlock:
 
     Built from a (rows, N) float64 array, which the block only reads, and,
     for its source-set methods, one int64 node-id array per row;
-    ranked_blocks builds blocks of samples and _ranked_row a block of one
-    vector. Source sets are checked with the messages of check_node_set and
-    stored deduplicated and sorted by (row, node) in `source_rows` and
-    `source_nodes`, with `source_counts[r]` distinct sources in row r.
+    ranked_blocks builds blocks of samples, the experiment one block per
+    estimator block, and _ranked_row a block of one vector. Source sets are
+    checked with the messages of check_node_set and stored deduplicated and
+    sorted by (row, node) in `source_rows` and `source_nodes`, with
+    `source_counts[r]` distinct sources in row r.
     """
 
     def __init__(self, probs: np.ndarray, sources: list[np.ndarray] | None = None):
@@ -307,7 +311,7 @@ class RankedBlock:
         return np.subtract(self.probs.shape[1], sizes, out=sizes)
 
 
-def _block_rows(n_nodes: int) -> int:
+def block_rows(n_nodes: int) -> int:
     """Rows per RankedBlock, so that its prefix sums fit the budget."""
     return max(1, _SCORE_BLOCK_BYTES // (np.dtype(np.float64).itemsize * n_nodes))
 
@@ -316,7 +320,7 @@ def ranked_blocks(samples):
     """RankedBlocks over an iterable of (probability vector, source set) pairs.
 
     Consumes the iterable block by block. A block is a run of consecutive
-    samples of one length, at most _block_rows of them; a change of length
+    samples of one length, at most block_rows of them; a change of length
     starts a new block, so samples of mixed lengths are accepted.
     """
     block, sources = None, []
@@ -326,7 +330,7 @@ def ranked_blocks(samples):
             yield RankedBlock(block[:len(sources)], sources)
             sources = []
         if not sources:
-            block = np.empty((_block_rows(p.size), p.size))
+            block = np.empty((block_rows(p.size), p.size))
         block[len(sources)] = p
         sources.append(np.asarray(y, dtype=np.int64).ravel())
     if sources:

@@ -26,6 +26,13 @@ uniform block of shape (t_last, n_nodes), t_last being the last observed
 instant. A sample is therefore the same for every chunk size, and equals
 `simulate` run on its substream right after the source set is drawn.
 
+Chunks. `sample_dataset` and the Monte Carlo estimator simulate
+`sim_chunk_rows(graph, horizon)` rows at a time: SIM_CHUNK_BYTES divided by
+the larger of a row's uniforms (8 * n_nodes * horizon bytes) and its flat
+arc tables (8 * (len(indices) + 2 * n_nodes) bytes). On sparse graphs the
+uniforms are larger; on a dense graph with a short window the arc tables
+are, and they set the chunk.
+
 Dataset files. `save_dataset` writes one JSON line per sample, encoding the
 status strings with one bytes translation per sample, and `load_dataset`
 decodes them the same way; the files are the bytes `json.dumps` gives for
@@ -60,15 +67,24 @@ _DECODE = bytes(STATUS_ALPHABET.index(chr(b)) if chr(b) in STATUS_ALPHABET else 
 # by a node's new status: S -> I adds 1 to its neighbors' k, I -> R takes 1
 _MOVE_SIGN = np.array([0, 1, -1])
 
-# sample_dataset and the Monte Carlo estimator simulate in chunks whose
-# pre-drawn uniforms take about this many bytes (at least one row per chunk).
-# The buffer adds to peak memory one for one; larger chunks gained little.
+# a simulation chunk's uniforms, or its arc tables where those are larger,
+# take about this many bytes (see sim_chunk_rows). Both add to peak memory
+# one for one; larger chunks gained little.
 SIM_CHUNK_BYTES = 1 << 20
 
 # Substream layout used by sample_dataset: sample i draws from
 # substream(seed, *seed_path, i). Experiment code reserves path prefixes.
 DEFAULT_HORIZON = 40
 DEFAULT_SNAPSHOTS = 16
+
+
+def sim_chunk_rows(graph: Graph, horizon: int) -> int:
+    """Rows per simulation chunk of `horizon` steps on `graph`, at least 1:
+    a row weighs the larger of its n_nodes * horizon float64 uniforms and
+    the len(indices) + 2 * n_nodes int64 arc-table entries `simulate_batch`
+    holds for it."""
+    n = graph.n_nodes
+    return max(1, SIM_CHUNK_BYTES // (8 * max(n * horizon, graph.indices.size + 2 * n)))
 
 
 @dataclass(frozen=True)
@@ -377,11 +393,11 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
 
     Sample i uses the RNG substream (seed, *seed_path, i) in the draw order
     of the module docstring, so datasets are byte-identical on re-run and
-    independent of execution order. Samples are simulated in chunks of as
-    many as fit SIM_CHUNK_BYTES of uniforms; the chunk size changes no
-    sample. Source sets are drawn uniformly without replacement from all
-    nodes. An r0 range whose upper ends derive sigma_inf > 1, and an r0
-    config on a graph without edges, are rejected before the first sample.
+    independent of execution order. Samples are simulated in chunks of
+    `sim_chunk_rows` rows; the chunk size changes no sample. Source sets
+    are drawn uniformly without replacement from all nodes. An r0 range
+    whose upper ends derive sigma_inf > 1, and an r0 config on a graph
+    without edges, are rejected before the first sample.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -404,7 +420,7 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
                 f"{_upper(gen.sigma_rec)}, lambda1={lambda1:.6g})")
     n = graph.n_nodes
     longest = _window_end(gen, gen.t_first if isinstance(gen.t_first, int) else 2)
-    chunk = max(1, SIM_CHUNK_BYTES // (8 * n * longest))
+    chunk = sim_chunk_rows(graph, longest)
     offsets = gen.stride * np.arange(gen.n_snapshots)
     # one uniform buffer serves every chunk; 1.0 freezes a row past its end
     block = np.empty((min(chunk, n_samples), longest, n))

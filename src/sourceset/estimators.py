@@ -7,7 +7,9 @@ affects only how small the prediction sets are. A probability floor keeps
 every entry strictly positive, which keeps all score variants finite.
 
 `build_estimator` parses a spec into an `Estimator`, whose `batch` scores a
-block of samples; `estimate_blocks` feeds it a sequence block by block. The
+block of samples; `estimate_blocks` feeds it a sequence block by block. Its
+blocks follow the ranking rule, `conformal.block_rows`, so the experiment
+ranks each estimator block as it is, with no pool-wide list of rows. The
 heuristic's batch is `estimate_heuristic_batch` over the block's stacked
 time-major (rows, m, n_nodes) snapshots, and `estimate_heuristic` is its
 batch of one, so a block row and the per-sample vector are the same bits.
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sourceset.diffusion import (SIM_CHUNK_BYTES, SUSCEPTIBLE, LabeledSample,
-                                 SirParams, SnapshotMatrix, simulate_batch)
+from sourceset.conformal import block_rows
+from sourceset.diffusion import (SUSCEPTIBLE, LabeledSample, SirParams, SnapshotMatrix,
+                                 sim_chunk_rows, simulate_batch)
 from sourceset.graph import Graph
 from sourceset.util import as_generator
 
@@ -36,12 +39,6 @@ PROB_FLOOR = 1e-6
 HEURISTIC_EARLINESS_WEIGHT = 0.6
 HEURISTIC_NEIGHBOR_WEIGHT = 0.4
 HEURISTIC_DECAY = 0.5
-
-# estimate_blocks scores at most this many samples at once. The heuristic's
-# temporaries grow with the block: over 3 desk trials (ba:200,3, 700 samples
-# each) peak RSS was 43.8 MB at 1 row, 43.6 at 16, 44.8 at 64 and 63.6 with
-# all 700 stacked, while the time per row did not change from 16 rows up.
-ESTIMATE_BLOCK_ROWS = 16
 
 
 def validate_prob_vector(probs: np.ndarray, n_nodes: int | None = None) -> np.ndarray:
@@ -132,7 +129,7 @@ def estimate_monte_carlo(x: SnapshotMatrix, graph: Graph, params: SirParams,
     obs_ir = (x.statuses != SUSCEPTIBLE).T  # (m, n)
     obs_weights = obs_ir.astype(np.float64)
     obs_sizes = obs_ir.sum(axis=1)
-    chunk = max(1, SIM_CHUNK_BYTES // (8 * n * horizon))
+    chunk = sim_chunk_rows(graph, horizon)
     block = np.empty((min(chunk, starts.size), horizon, n))
     jaccard = np.empty((starts.size, x.times.size))
     for lo in range(0, starts.size, chunk):
@@ -317,13 +314,14 @@ def estimate_blocks(estimator: Estimator, samples, rng_of):
     """Probability vectors of `samples`, in order, block by block.
 
     Yields (block, probs) pairs: `block` is a run of at most
-    ESTIMATE_BLOCK_ROWS consecutive samples of one window length, and
-    `probs` its `estimator.batch(block, rng_of)` rows. Only estimators that
-    draw call `rng_of`, once per row, so the others create no rng.
+    `conformal.block_rows(n_nodes)` consecutive samples of one window length,
+    the rows of one `RankedBlock`, and `probs` its `estimator.batch(block,
+    rng_of)` (rows, n_nodes) array. Only estimators that draw call `rng_of`,
+    once per row, so the others create no rng.
     """
     block = []
     for sample in samples:
-        if block and (len(block) == ESTIMATE_BLOCK_ROWS
+        if block and (len(block) == block_rows(block[0].x.n_nodes)
                       or sample.x.n_snapshots != block[0].x.n_snapshots):
             yield block, estimator.batch(block, rng_of)
             block = []

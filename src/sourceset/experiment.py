@@ -145,18 +145,17 @@ def _run_trial(graph: Graph, cfg: ExperimentConfig, estimator, lambda1: float | 
     pool_n = cfg.n_cal + cfg.n_test
     samples = sample_dataset(graph, cfg.generative, pool_n, cfg.seed,
                              lambda1=lambda1, seed_path=(_STREAM_DATA, trial))
-    probs = [row for _, block_probs in estimate_blocks(
-                 estimator, samples,
-                 lambda sample: substream(cfg.seed, _STREAM_EST, trial, sample.index))
-             for row in block_probs]
     perm = substream(cfg.seed, _STREAM_SPLIT, trial).permutation(pool_n)
     # repeated levels name the same cell; each cell is scored once
     kinds, alphas, betas = (tuple(dict.fromkeys(levels))
                             for levels in (cfg.score_kinds, cfg.alphas, cfg.betas))
 
     def blocks(indices):
-        # each block is ranked once and shared by every cell
-        return conformal.ranked_blocks((probs[i], samples[i].sources) for i in indices)
+        # each estimator block is ranked once and shared by every cell
+        for block, probs in estimate_blocks(
+                estimator, (samples[i] for i in indices),
+                lambda sample: substream(cfg.seed, _STREAM_EST, trial, sample.index)):
+            yield conformal.RankedBlock(probs, [s.sources for s in block])
 
     cal_scores: dict[tuple[str, float], list[np.ndarray]] = {
         (kind, beta): [] for kind in kinds for beta in betas}

@@ -182,6 +182,49 @@ class TestExitCodes:
             f"error: {model}: model record lacks field {field!r}\n"
         assert not sets.exists()
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("graph_spec", 5, "a string"),
+        ("graph_seed", "q", "an integer"),
+        ("graph_seed", True, "an integer"),
+        ("estimator", 5, "a string"),
+        ("estimator_seed", 1.5, "an integer"),
+        ("estimator_seed", "x", "an integer")])
+    def test_model_header_field_of_wrong_type_names_file_and_field(
+            self, tmp_path, capsys, field, value, expected):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        sets = tmp_path / "sets.jsonl"
+        assert run(*simulate_args(data, samples=20)) == 0
+        assert run("calibrate", "--data", str(data), "--score", "rec", "--alpha", "0.2",
+                   "--estimator", "oracle:0.5", "--seed", "1", "--out", str(model)) == 0
+        header, rec = model.read_text().splitlines()
+        header = json.loads(header)
+        header["config"][field] = value
+        model.write_text(f"{json.dumps(header)}\n{rec}\n")
+        capsys.readouterr()
+        assert run("predict", "--model", str(model), "--data", str(data),
+                   "--out", str(sets)) == 1
+        assert capsys.readouterr().err == (f"error: {model}: header field {field!r} "
+                                           f"must be {expected}, got {value!r}\n")
+        assert not sets.exists()
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("graph_spec", 5, "a string"),
+        ("graph_seed", "q", "an integer")])
+    def test_dataset_header_field_of_wrong_type_names_file_and_field(
+            self, tmp_path, capsys, field, value, expected):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        assert run(*simulate_args(data, samples=3)) == 0
+        header, *records = data.read_text().splitlines()
+        header = json.loads(header)
+        header["config"][field] = value
+        data.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        capsys.readouterr()
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.5", "--out", str(model)) == 1
+        assert capsys.readouterr().err == (f"error: {data}: header field {field!r} "
+                                           f"must be {expected}, got {value!r}\n")
+        assert not model.exists()
+
     def test_evaluate_duplicate_prediction_is_validation_error(self, tmp_path, capsys):
         data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
         sets, report = tmp_path / "sets.jsonl", tmp_path / "eval.csv"
@@ -506,6 +549,26 @@ class TestSweepCommand:
                    "--values", "0.1,0.5", "--out-dir", str(out)) == 0
         assert (out / "summary_beta_0.1.csv").exists()
         assert (out / "summary_beta_0.5.csv").exists()
+
+    def test_source_count_range_keeps_float_report_names(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("sweep", "--config", str(cfg), "--axis", "n_sources",
+                   "--values", "2:3,1", "--out-dir", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "summary_n_sources_1.csv", "summary_n_sources_2.0-3.0.csv",
+            "trials_n_sources_1.csv", "trials_n_sources_2.0-3.0.csv"]
+
+    @pytest.mark.parametrize("token", ["1.5:3.7", "1:2.5", "inf:3"])
+    def test_source_count_range_with_fractional_end_rejected(self, tmp_path, capsys,
+                                                             token):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert run("sweep", "--config", str(cfg), "--axis", "n_sources",
+                   "--values", token, "--out-dir", str(out)) == 1
+        assert capsys.readouterr().err == (f"error: --values: bad n_sources value "
+                                           f"{token!r} (expected whole-number ends)\n")
+        assert not any(out.iterdir())
 
     def test_axis_without_values_rejected(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -1,6 +1,7 @@
 """Simulator laws, snapshot windows, and dataset generation."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sourceset.graph import (
     build_graph,
     complete_graph,
     erdos_renyi_graph,
+    graph_from_spec,
     spectral_radius,
 )
 from sourceset.util import substream
@@ -403,6 +405,33 @@ class TestSampleDataset:
                 assert a.params == b.params
                 assert np.array_equal(a.x.times, b.x.times)
                 assert np.array_equal(a.x.statuses, b.x.statuses)
+
+    def test_dense_graph_chunk_counts_its_arc_tables(self):
+        # complete:120 has 14,280 arcs and windows of 2 steps, so the arc
+        # tables of a row outweigh its uniforms 60 times over. A chunk sized
+        # by uniforms alone holds all 100 rows and traces 23 MB; counting the
+        # arcs, the peak is the chunk's arc table and a scatter's two
+        # arc-length temporaries, about 3 budgets
+        g = complete_graph(120)
+        gen = self.gen(source_count=1, r0=None, sigma_inf=0.05, n_snapshots=2,
+                       t_first=1)
+        assert diffusion.sim_chunk_rows(g, 2) == diffusion.SIM_CHUNK_BYTES // (
+            8 * (g.indices.size + 2 * g.n_nodes))
+        tracemalloc.start()
+        try:
+            sample_dataset(g, gen, 100, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * diffusion.SIM_CHUNK_BYTES
+
+    @pytest.mark.parametrize("spec", ["ba:200,3", "ba:774,3"])
+    def test_benchmark_graphs_keep_uniform_sized_chunks(self, spec):
+        # the desk window ends at step 17, where a row's uniforms outweigh
+        # its arc tables on these graphs
+        g = graph_from_spec(spec)
+        assert diffusion.sim_chunk_rows(g, 17) == \
+            diffusion.SIM_CHUNK_BYTES // (8 * g.n_nodes * 17)
 
     @pytest.mark.parametrize("stride", [1, 3])
     def test_sample_equals_simulate_on_its_substream(self, stride):

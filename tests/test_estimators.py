@@ -2,11 +2,13 @@
 
 import functools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sourceset import estimators
+from sourceset import conformal, diffusion
+from sourceset.conformal import block_rows
 from sourceset.diffusion import (
     INFECTED,
     SUSCEPTIBLE,
@@ -144,7 +146,7 @@ class TestHeuristic:
         for s in samples:
             assert np.array_equal(estimate_heuristic(s.x, g), reference_heuristic(s.x, g))
 
-    @pytest.mark.parametrize("rows", [1, 7, estimators.ESTIMATE_BLOCK_ROWS])
+    @pytest.mark.parametrize("rows", [1, 7, block_rows(45)])
     def test_batch_rows_match_per_node_reference_bitwise(self, tmp_path, rows):
         # the graph of test_matches_per_node_reference_bitwise; samples as
         # simulated (transposed views of one window per chunk) and as read back
@@ -224,10 +226,28 @@ class TestMonteCarlo:
         samples = random_samples(g, 8, seed=12, source_count=(2, 5))
         whole = [estimate_monte_carlo(s.x, g, s.params, k_sims=3, seed=s.index)
                  for s in samples]
-        monkeypatch.setattr(estimators, "SIM_CHUNK_BYTES", 1)  # one row per chunk
+        monkeypatch.setattr(diffusion, "SIM_CHUNK_BYTES", 1)  # one row per chunk
         for s, probs in zip(samples, whole):
             assert np.array_equal(
                 estimate_monte_carlo(s.x, g, s.params, k_sims=3, seed=s.index), probs)
+
+    def test_dense_graph_chunk_counts_its_arc_tables(self):
+        # 3 candidates x 40 runs of 5 steps on complete:120: a chunk sized by
+        # uniforms alone holds all 120 rows with 14,280 arcs each and traces
+        # 39 MB. Counting the arcs, the peak is the chunk's arc table and a
+        # scatter's two arc-length temporaries, about 3 budgets
+        g = complete_graph(120)
+        params = SirParams(sigma_inf=0.05, sigma_rec=0.1, horizon=5)
+        statuses = np.zeros((120, 5), dtype=np.int8)
+        statuses[:3] = INFECTED
+        x = snapshot(statuses, np.arange(1, 6))
+        tracemalloc.start()
+        try:
+            estimate_monte_carlo(x, g, params, k_sims=40, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * diffusion.SIM_CHUNK_BYTES
 
     def test_output_contract(self):
         g = barabasi_albert_graph(25, 2, seed=9)
@@ -361,7 +381,7 @@ class TestEstimateBlocks:
         g, samples, spec, table = self.case(tmp_path, spec)
         blocks, created = self.blocks(build_estimator(spec, g), samples)
         runs = (20,) if spec.startswith("file:") else (20, 13)
-        most = estimators.ESTIMATE_BLOCK_ROWS
+        most = block_rows(30)
         assert [len(block) for block, _ in blocks] == \
             [min(most, run - lo) for run in runs for lo in range(0, run, most)]
         assert [s for block, _ in blocks for s in block] == samples
@@ -406,7 +426,7 @@ class TestEstimateBlocks:
         samples = self.samples(g)
         heuristic = build_estimator("heuristic", g)
         default = np.concatenate([p for _, p in self.blocks(heuristic, samples)[0]])
-        monkeypatch.setattr(estimators, "ESTIMATE_BLOCK_ROWS", rows)
+        monkeypatch.setattr(conformal, "_SCORE_BLOCK_BYTES", rows * 8 * g.n_nodes)
         blocks, _ = self.blocks(heuristic, samples)
         assert max(len(block) for block, _ in blocks) == rows
         assert np.array_equal(np.concatenate([p for _, p in blocks]), default)

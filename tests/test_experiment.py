@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sourceset import conformal, estimators, experiment
+from sourceset import conformal, experiment
 from sourceset.conformal import NominalLevels, calibrate, evaluate_set, predict
 from sourceset.diffusion import GenerativeConfig, sample_dataset
 from sourceset.estimators import build_estimator, save_prob_vectors
@@ -129,8 +129,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("estimator", ["oracle:1.0", "heuristic"])
     def test_cells_independent_of_block_size(self, monkeypatch, estimator):
-        """Estimating and scoring blocks of 1 row, 7 rows or the defaults give
-        the same cells, float for float."""
+        """Estimator blocks, which are the ranking blocks, of 1 row, 7 rows or
+        the default give the same cells, float for float."""
         cfg = small_config(n_trials=2, alphas=(0.05, 0.2), betas=(0.0, 0.3, 0.7),
                            estimator=estimator)
         graph = graph_from_spec(cfg.graph_spec, seed=cfg.graph_seed)
@@ -140,7 +140,7 @@ class TestRunExperiment:
         row_bytes = np.dtype(np.float64).itemsize * graph.n_nodes
         for rows in (1, 7):
             monkeypatch.setattr(conformal, "_SCORE_BLOCK_BYTES", rows * row_bytes)
-            monkeypatch.setattr(estimators, "ESTIMATE_BLOCK_ROWS", rows)
+            assert conformal.block_rows(graph.n_nodes) == rows
             for t in range(cfg.n_trials):
                 assert experiment._run_trial(graph, cfg, estimator_fn, None, t) == expected[t]
 
@@ -162,7 +162,9 @@ class TestRunExperiment:
         monkeypatch.setattr(experiment, "substream", recording)
         run_experiment(replace(cfg, estimator=spec))
         estimator_paths = [path for path in created if path[0] == 2]
-        expected = [(2, trial, i) for trial in range(2) for i in range(30)]
+        # calibration samples, then test samples, in split order
+        expected = [(2, trial, i) for trial in range(2)
+                    for i in substream(cfg.seed, 1, trial).permutation(30).tolist()]
         assert estimator_paths == (expected if spec.startswith("oracle:") else [])
         assert [path for path in created if path[0] != 2] == [(1, 0), (1, 1)]
 
