@@ -10,6 +10,7 @@ invocations produce byte-identical outputs.
 from __future__ import annotations
 
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -188,6 +189,23 @@ def predict(model_path, data_path, out_path):
     click.echo(f"wrote {len(samples)} prediction sets to {out_path}")
 
 
+def _sets_beta(header: dict, path: str) -> float:
+    """The beta of a sets file's header: a number in [0, 1), never a bool,
+    as NominalLevels requires."""
+    config = header.get("config", {})
+    if not isinstance(config, dict):
+        raise click.ClickException(
+            f"{path}: header field 'config' must be an object, got {config!r}")
+    if "beta" not in config:
+        raise click.ClickException(f"{path}: header lacks 'beta'")
+    beta = config["beta"]
+    if not isinstance(beta, numbers.Real) or isinstance(beta, bool) \
+            or not 0.0 <= beta < 1.0:
+        raise click.ClickException(
+            f"{path}: header field 'beta' must be a number in [0, 1), got {beta!r}")
+    return beta
+
+
 @cli.command()
 @click.option("--sets", "sets_path", required=True, type=click.Path())
 @click.option("--data", "data_path", required=True, type=click.Path())
@@ -225,9 +243,7 @@ def evaluate(sets_path, data_path, out_path):
         rows[idx] = np.asarray(nodes, dtype=np.int64)
     if not rows:
         raise click.ClickException(f"{sets_path}: no predictions")
-    beta = header.get("config", {}).get("beta")
-    if beta is None:
-        raise click.ClickException("prediction header lacks beta")
+    beta = _sets_beta(header, sets_path)
     included = 0
     total_size = 0
     with open(out_path, "w", encoding="utf-8") as fh:

@@ -20,18 +20,21 @@ Score variants (all computed on the upward closure of the argument set):
     min: negative smallest probability in the closure.
 
 Numerical contract: the score formulas exist once (`_closure_scores`) and
-read one ranked view, `RankedBlock`: a block of equal-length rows ranked with
-one row-wise sort and one row-wise float64 cumulative sum.
-Calibration, risk control and the experiment loop rank blocks of samples
-and read every source-set decision off them; set_score, singleton_scores,
-prediction and the brute-force oracle rank a one-row block.
-A block's rows are capped so that its prefix sums fit
+read one ranked view, `RankedBlock`: a block of equal-length rows whose
+sorted values and row-wise float64 cumulative sums are each built on first
+use, by one row-wise sort and one row-wise sum. A closure holds every value
+>= its threshold, so its smallest value is the threshold itself: 'min'
+reads that value and no sorted view, and risk control reads only source
+thresholds. Calibration, risk control and the experiment loop rank blocks
+of samples and read every source-set decision off them; set_score,
+singleton_scores, prediction and the brute-force oracle rank a one-row
+block. A block's rows are capped so that its prefix sums fit
 `_SCORE_BLOCK_BYTES`. Scores depend only on values, never on how ties are
-ordered (a block turns -0.0 into 0.0 in its sorted values, the one tie whose
-members differ in bits), and every row is summed in sequence in float64, so
-a row of a block and the same vector ranked alone give bit-identical scores
-on every platform, threshold comparisons see identical rounding on both
-sides, and a row total's relative error is at most (N - 1) * eps.
+ordered (-0.0 is read as 0.0, the one tie whose members differ in bits),
+and every row is summed in sequence in float64, so a row of a block and the
+same vector ranked alone give bit-identical scores on every platform,
+threshold comparisons see identical rounding on both sides, and a row
+total's relative error is at most (N - 1) * eps.
 `shrink_set`, `upward_closure` and `probability_order` stay value-based, as
 the reference the block is tested against. Rank arithmetic like
 ceil((1-alpha)(n+1)) is computed with a small nudge so float products that
@@ -158,16 +161,19 @@ def _as_vector(probs) -> np.ndarray:
     return arr
 
 
-def _check_range(lowest, highest) -> None:
+def _check_range(probs: np.ndarray) -> None:
     """Reject probabilities whose smallest or largest value is outside [0, 1]."""
-    # NaN fails both comparisons and +-inf fails one, so this also rejects them
-    if not (lowest >= 0.0 and highest <= 1.0):
+    # NaN propagates through minimum and fails both comparisons, and +-inf
+    # fails one, so this also rejects them. The ufunc reductions skip the
+    # method wrappers of min and max, which a one-row block pays per call.
+    if not (np.minimum.reduce(probs, axis=None) >= 0.0
+            and np.maximum.reduce(probs, axis=None) <= 1.0):
         raise ValueError("probability vector must be finite and within [0, 1]")
 
 
 def _check_probs(probs) -> np.ndarray:
     arr = _as_vector(probs)
-    _check_range(arr.min(), arr.max())
+    _check_range(arr)
     return arr
 
 
@@ -187,14 +193,15 @@ def _at(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     return values.reshape(-1)[index + np.arange(0, rows * width, width)[:, None]]
 
 
-def _closure_scores(kind: str, ascending: np.ndarray, prefix, closure_size):
-    """Scores of the closures holding the `closure_size` largest probabilities.
+def _closure_scores(kind: str, smallest, prefix, closure_size):
+    """Scores of upward closures, from what each score kind reads.
 
-    The one implementation of the score formulas. Each row of `ascending`
-    holds probabilities in ascending order, and the same row of `prefix`
-    their running sums in descending order after a leading 0; `closure_size`
-    holds one row of sizes per block row. `prefix` is read only by the
-    mass-based kinds.
+    The one implementation of the score formulas. 'min' reads `smallest`,
+    each closure's smallest probability, which is its threshold. 'pre' and
+    'rec' read `prefix`, whose row r holds row r's probabilities summed in
+    descending order after a leading 0, and `closure_size`, one row of
+    closure sizes per prefix row. A kind's caller passes None for what it
+    does not read.
     """
     if kind == "pre":
         return -(_at(prefix, closure_size) / closure_size)
@@ -204,50 +211,51 @@ def _closure_scores(kind: str, ascending: np.ndarray, prefix, closure_size):
             raise ValueError("'rec' score needs positive total probability mass")
         return _at(prefix, closure_size) / total
     if kind == "min":
-        return -_at(ascending, ascending.shape[1] - closure_size)
+        # -0.0 as 0.0, so no score depends on which zero a threshold is
+        return -(smallest + 0.0)
     raise ValueError(f"unknown score kind {kind!r}")
 
 
 class RankedBlock:
     """Rows of one length N, optionally each with its source set, ranked together.
 
-    One sort and one row-wise float64 prefix sum serve every row:
-    prefix[r, k] is the sum of the k largest probabilities of row r,
-    accumulated in sequence, so a row total's relative error is at most
-    (N - 1) * eps and a row's values and sums are the same bit for bit in
-    any block. A closure holds the largest values of its row, so every score
-    is a lookup into these arrays, and scores need only values, never
-    positions.
+    A closure holds every probability of its row that is >= its threshold,
+    so its smallest value is that threshold and its mass the sum of its
+    size largest values. 'min' reads the threshold and needs no ranking.
+    For 'pre' and 'rec', one row-wise sort and one row-wise float64 prefix
+    sum, each built on first use, serve every row: prefix[r, k] is the sum
+    of the k largest probabilities of row r, accumulated in sequence, so a
+    row total's relative error is at most (N - 1) * eps and a row's values
+    and sums are the same bit for bit in any block. Scores need only
+    values, never positions.
 
-    Built from a (rows, N) float64 array, which the block only reads, and,
-    for its source-set methods, one int64 node-id array per row;
-    ranked_blocks builds blocks of samples, the experiment one block per
-    estimator block, and _ranked_row a block of one vector. Source sets are
-    checked with the messages of check_node_set and stored deduplicated and
-    sorted by (row, node) in `source_rows` and `source_nodes`, with
-    `source_counts[r]` distinct sources in row r.
+    Built from a (rows, N) float64 array, which the block only reads and
+    checks to lie in [0, 1], and, for its source-set methods, one int64
+    node-id array per row; ranked_blocks builds blocks of samples, the
+    experiment one block per estimator block, and _ranked_row a block of one
+    vector. Source sets are checked with the messages of check_node_set and
+    stored deduplicated and sorted by (row, node) in `source_rows` and
+    `source_nodes`, with `source_counts[r]` distinct sources in row r.
     """
 
     def __init__(self, probs: np.ndarray, sources: list[np.ndarray] | None = None):
         self.probs = probs
         rows, n = probs.shape
-        # -0.0 as 0.0, so no score depends on where the sort puts the two
-        # zeros among ties
-        self.ascending = probs + 0.0
-        self.ascending.sort(axis=1)
-        # NaN sorts last, so each row's ends bound all of its values
-        _check_range(self.ascending[:, 0].min(), self.ascending[:, -1].max())
-        self._prefix = None
+        _check_range(probs)
+        # views built on first use, by the score kinds that read them
+        self._ascending = self._prefix = self._node_sizes = None
         if sources is None:
             return
         nodes = np.concatenate(sources)
         # before the keys are packed, so no id can alias a node of another row
         if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
             raise ValueError("node index out of range")
-        row_starts = np.repeat(np.arange(rows, dtype=np.int64) * n,
-                               [s.size for s in sources])
-        keys = np.unique(row_starts + nodes)
-        self.source_rows, self.source_nodes = np.divmod(keys, n)
+        keys = np.repeat(np.arange(rows, dtype=np.int64) * n,
+                         [s.size for s in sources]) + nodes
+        keys.sort()
+        distinct = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+        self.source_rows, self.source_nodes = np.divmod(keys[distinct], n)
         self.source_counts = np.bincount(self.source_rows, minlength=rows)
         if not self.source_counts.all():
             raise ValueError("node set must be non-empty")
@@ -257,17 +265,54 @@ class RankedBlock:
         self._source_start = np.cumsum(self.source_counts) - self.source_counts
 
     @property
+    def ascending(self) -> np.ndarray:
+        """(rows, N): each row's probabilities in ascending order, -0.0 as
+        0.0, sorted on first use."""
+        if self._ascending is None:
+            self._ascending = self.probs + 0.0
+            self._ascending.sort(axis=1)
+        return self._ascending
+
+    @property
     def prefix(self) -> np.ndarray:
-        """(rows, N + 1) prefix sums, computed on first use: 'min' needs none."""
+        """(rows, N + 1) prefix sums, computed on first use."""
         if self._prefix is None:
             self._prefix = np.zeros((self.probs.shape[0], self.probs.shape[1] + 1))
             np.cumsum(self.ascending[:, ::-1], axis=1, out=self._prefix[:, 1:])
         return self._prefix
 
-    def scores(self, kind: str, closure_size: np.ndarray) -> np.ndarray:
-        """Scores for a 2-D array with one row of closure sizes per block row."""
-        prefix = None if kind == "min" else self.prefix
-        return _closure_scores(kind, self.ascending, prefix, closure_size)
+    @property
+    def node_closure_sizes(self) -> np.ndarray:
+        """(rows, N): the closure size of every node's singleton set,
+        computed on first use.
+
+        A value's closure holds every value from the first of its ties in
+        ascending order on. The sizes are read off along the ascending order
+        and put back to the nodes through a row-wise argsort, whose order
+        among ties is irrelevant because tied nodes share their size.
+        """
+        if self._node_sizes is None:
+            sizes = np.empty(self.probs.shape, dtype=np.int64)
+            for size, order, values in zip(sizes, self.probs.argsort(axis=1),
+                                           self.ascending):
+                size[order] = values.searchsorted(values, side="left")
+            self._node_sizes = np.subtract(self.probs.shape[1], sizes, out=sizes)
+        return self._node_sizes
+
+    def threshold_scores(self, kind: str, threshold: np.ndarray) -> np.ndarray:
+        """Scores of the closures {v : probs[r, v] >= threshold[r, j]}, for a
+        (rows, k) array whose entries are each a value of their row."""
+        if kind == "min":
+            return _closure_scores(kind, threshold, None, None)
+        sizes = np.count_nonzero(self.probs[:, None, :] >= threshold[:, :, None], axis=2)
+        return _closure_scores(kind, None, self.prefix, sizes)
+
+    def node_scores(self, kind: str) -> np.ndarray:
+        """(rows, N): the score of every node's singleton set, whose closure
+        threshold is the node's own probability."""
+        if kind == "min":
+            return _closure_scores(kind, self.probs, None, None)
+        return _closure_scores(kind, None, self.prefix, self.node_closure_sizes)
 
     def required_hits(self, beta: float) -> np.ndarray:
         """Per row, required_hits(source_counts[r], beta), same float arithmetic."""
@@ -290,25 +335,10 @@ class RankedBlock:
         """Per row, the score of shrink_set(probs, sources, beta).
 
         The shrunken set's closure threshold is the required_hits-th largest
-        source probability of the row, and its closure holds every
-        probability >= that value.
+        source probability of the row.
         """
         threshold = self.source_threshold(self.required_hits(beta))
-        sizes = np.count_nonzero(self.ascending >= threshold[:, None], axis=1)
-        return self.scores(kind, sizes[:, None])[:, 0]
-
-    def node_closure_sizes(self) -> np.ndarray:
-        """(rows, N): the closure size of every node's singleton set.
-
-        A value's closure holds every value from the first of its ties in
-        ascending order on. The sizes are read off along the ascending order
-        and put back to the nodes through a row-wise argsort, whose order
-        among ties is irrelevant because tied nodes share their size.
-        """
-        sizes = np.empty(self.probs.shape, dtype=np.int64)
-        for size, order, values in zip(sizes, self.probs.argsort(axis=1), self.ascending):
-            size[order] = values.searchsorted(values, side="left")
-        return np.subtract(self.probs.shape[1], sizes, out=sizes)
+        return self.threshold_scores(kind, threshold[:, None])[:, 0]
 
 
 def block_rows(n_nodes: int) -> int:
@@ -386,7 +416,7 @@ def singleton_scores(kind: str, probs) -> tuple[np.ndarray, np.ndarray]:
     """
     block = _ranked_row(probs)
     order = probability_order(block.probs[0])
-    return order, block.scores(kind, block.node_closure_sizes())[0, order]
+    return order, block.node_scores(kind)[0, order]
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +465,7 @@ def predict(model: ConformalModel, probs) -> PredictionSet:
     singleton scores are non-decreasing as probability falls, so the result
     is a closure-prefix; an infinite threshold returns all nodes.
     """
-    block = _ranked_row(probs)
-    scores = block.scores(model.score, block.node_closure_sizes())[0]
+    scores = _ranked_row(probs).node_scores(model.score)[0]
     return PredictionSet(nodes=(scores <= model.q_hat).nonzero()[0],
                          threshold_used=model.q_hat)
 
@@ -516,8 +545,7 @@ def bruteforce_prediction_set(probs, q_hat: float, kind: str) -> np.ndarray:
     masks = np.arange(1, 1 << n, dtype=np.uint32)
     member_bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
     thresholds = np.min(np.where(member_bits, block.probs, np.inf), axis=1)
-    sizes = np.count_nonzero(block.ascending >= thresholds[:, None], axis=1)
-    scores = block.scores(kind, sizes[None, :])[0]
+    scores = block.threshold_scores(kind, thresholds[None, :])[0]
     included = [bool(np.min(scores[member_bits[:, v]]) <= q_hat) for v in range(n)]
     return np.flatnonzero(included)
 

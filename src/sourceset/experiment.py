@@ -170,9 +170,8 @@ def _run_trial(graph: Graph, cfg: ExperimentConfig, estimator, lambda1: float | 
     included = dict.fromkeys(q_hats, 0)
     total_size = dict.fromkeys(q_hats, 0)
     for block in blocks(perm[cfg.n_cal:]):
-        closure_sizes = block.node_closure_sizes()
         for kind in kinds:
-            node_scores = block.scores(kind, closure_sizes)
+            node_scores = block.node_scores(kind)
             for alpha in alphas:
                 for beta in betas:
                     cell = (kind, alpha, beta)

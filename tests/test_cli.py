@@ -265,6 +265,32 @@ class TestExitCodes:
         assert f"{sets}: " in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("config, expected", [
+        ({"beta": "0.3"}, "header field 'beta' must be a number in [0, 1), got '0.3'"),
+        ({"beta": 1.5}, "header field 'beta' must be a number in [0, 1), got 1.5"),
+        ({"beta": True}, "header field 'beta' must be a number in [0, 1), got True"),
+        ({"beta": -1}, "header field 'beta' must be a number in [0, 1), got -1"),
+        ({"beta": float("nan")}, "header field 'beta' must be a number in [0, 1), got nan"),
+        ({}, "header lacks 'beta'"),
+        ([0.3], "header field 'config' must be an object, got [0.3]")])
+    def test_evaluate_bad_sets_header_names_file_and_field(self, tmp_path, capsys,
+                                                           config, expected):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        sets, report = tmp_path / "sets.jsonl", tmp_path / "eval.csv"
+        assert run(*simulate_args(data, samples=10)) == 0
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.2", "--out", str(model)) == 0
+        assert run("predict", "--model", str(model), "--data", str(data),
+                   "--out", str(sets)) == 0
+        header, *records = sets.read_text().splitlines(keepends=True)
+        sets.write_text(json.dumps({**json.loads(header), "config": config}) + "\n"
+                        + "".join(records))
+        capsys.readouterr()
+        assert run("evaluate", "--sets", str(sets), "--data", str(data),
+                   "--out", str(report)) == 1
+        assert capsys.readouterr().err == f"error: {sets}: {expected}\n"
+        assert not report.exists()
+
     def test_repeated_dataset_record_is_validation_error(self, tmp_path, capsys):
         data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
         sets = tmp_path / "sets.jsonl"

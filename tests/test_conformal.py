@@ -33,6 +33,8 @@ from sourceset.conformal import (
     stable_ceil,
     upward_closure,
 )
+from sourceset.diffusion import GenerativeConfig
+from sourceset.experiment import ExperimentConfig, run_experiment
 from sourceset.util import substream
 
 
@@ -431,7 +433,7 @@ class TestRankedBlock:
         block = next(ranked_blocks([(probs, [3, 2, 3])]))
         assert block.ascending.tolist() == [[0.1, 0.2, 0.5, 0.5]]
         # the tied pair {1, 2} closes together
-        assert block.node_closure_sizes().tolist() == [[3, 2, 2, 4]]
+        assert block.node_closure_sizes.tolist() == [[3, 2, 2, 4]]
         assert block.source_nodes.tolist() == [2, 3]
         order, scores = singleton_scores("min", probs)
         assert order.tolist() == [1, 2, 0, 3]
@@ -461,15 +463,43 @@ class TestRankedBlock:
     def test_node_scores_match_singleton_scores(self):
         samples = self.samples(22)
         for block in ranked_blocks(samples):
-            sizes = block.node_closure_sizes()
             for kind in SCORE_KINDS:
-                scores = block.scores(kind, sizes)
+                scores = block.node_scores(kind)
                 for probs, row in zip(block.probs, scores):
                     reference = [reference_set_score(kind, probs, [v])
                                  for v in range(probs.size)]
                     assert np.array_equal(bits(row), bits(reference))
                     order, singles = singleton_scores(kind, probs)
                     assert np.array_equal(bits(row[order]), bits(singles))
+
+    def test_min_reads_threshold_as_sorted_lookup(self):
+        """'min' reads each closure's threshold; it equals the sorted-view
+        lookup, -np.sort(probs + 0.0)[N - size], bit for bit, also where a
+        threshold is -0.0."""
+        def lookup(probs, size):
+            return -np.sort(probs + 0.0)[probs.size - size]
+
+        rows = [
+            ([0.5, -0.0, 0.0, 0.25, -0.0, 0.5, 0.0], [1, 3, 4, 0]),
+            ([-0.0, 0.0, -0.0, 0.75, 0.75, 0.0, 0.25], [0, 2]),
+            ([0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.5], [1, 5, 6]),
+            ([0.25, 0.25, -0.0, 0.25, 0.0, 1.0, -0.0], [2, 6, 0, 5, 1]),
+        ]
+        samples = [(np.array(p), y) for p, y in rows] + self.samples(24)
+        for beta in (0.0, 0.1, 0.3, 0.5, 0.7):
+            fast = np.concatenate([b.shrunk_scores("min", beta)
+                                   for b in ranked_blocks(samples)])
+            reference = []
+            for probs, y in samples:
+                threshold = probs[shrink_set(probs, y, beta)].min()
+                reference.append(lookup(probs, np.count_nonzero(probs >= threshold)))
+            assert np.array_equal(bits(fast), bits(reference))
+        for block in ranked_blocks(samples):
+            for probs, row in zip(block.probs, block.node_scores("min")):
+                reference = [lookup(probs, np.count_nonzero(probs >= p)) for p in probs]
+                assert np.array_equal(bits(row), bits(reference))
+        # a source at -0.0 as the threshold scores -0.0, as the sorted 0.0 does
+        assert bits(set_score("min", rows[0][0], [1])) == bits(-0.0)
 
     def test_prefix_total_within_float64_bound(self):
         """A row total summed in sequence in float64 is within (N - 1) * eps
@@ -511,6 +541,74 @@ class TestRankedBlock:
         # risk control reads the same blocks, so it fails with the same message
         with pytest.raises(ValueError, match=message):
             crc_calibrate(samples, NominalLevels(alpha=0.5))
+
+
+class TestSortedViewBuilds:
+    """'min' reads each closure's threshold and risk control only source
+    thresholds, so neither sorts a block; 'pre' and 'rec' sort each block
+    once, and every kind shares that sort."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The blocks whose sorted view was built, one entry per build."""
+        built = []
+        view = conformal.RankedBlock.ascending
+
+        def counting(block):
+            if block._ascending is None:
+                built.append(block)
+            return view.fget(block)
+
+        monkeypatch.setattr(conformal.RankedBlock, "ascending", property(counting))
+        return built
+
+    @staticmethod
+    def samples():
+        """20 tie-heavy samples of 9 nodes."""
+        rng = np.random.default_rng(27)
+        return [(np.round(rng.random(9), 1), random_set(rng, 9)) for _ in range(20)]
+
+    def test_min_and_risk_control_sort_nothing(self, built, monkeypatch):
+        block_rows_budget(monkeypatch, 7, 9)
+        samples = self.samples()
+        levels = NominalLevels(alpha=0.2, beta=0.3)
+        model = calibrate(samples, "min", levels)
+        crc_calibrate(samples, levels)
+        for probs, y in samples:
+            predict(model, probs)
+            set_score("min", probs, y)
+        assert built == []
+
+    @pytest.mark.parametrize("kind", ["pre", "rec"])
+    def test_mass_kinds_sort_each_block_once(self, built, monkeypatch, kind):
+        block_rows_budget(monkeypatch, 7, 9)
+        calibrate(self.samples(), kind, NominalLevels(alpha=0.2, beta=0.3))
+        # 20 rows in blocks of 7
+        assert len(built) == 3
+        assert len({id(block) for block in built}) == 3
+
+    @pytest.mark.parametrize("kinds, sorts", [(SCORE_KINDS, True), (("min",), False)])
+    def test_experiment_sorts_each_block_at_most_once(self, built, monkeypatch,
+                                                      kinds, sorts):
+        blocks = []
+        init = conformal.RankedBlock.__init__
+
+        def counting_init(block, *args):
+            blocks.append(block)
+            init(block, *args)
+
+        monkeypatch.setattr(conformal.RankedBlock, "__init__", counting_init)
+        block_rows_budget(monkeypatch, 16, 20)
+        gen = GenerativeConfig(source_count=(1, 3), r0=None, sigma_inf=(0.3, 0.6),
+                               sigma_rec=(0.1, 0.2), n_snapshots=4)
+        run_experiment(ExperimentConfig(
+            graph_spec="complete:20", generative=gen, alphas=(0.1, 0.2),
+            betas=(0.0, 0.5), score_kinds=kinds, n_cal=150, n_test=60,
+            n_trials=2, seed=3))
+        # at most 16 rows a block: 10 calibration and 4 test blocks a trial
+        assert len(blocks) >= 28
+        assert len({id(block) for block in built}) == len(built)
+        assert len(built) == (len(blocks) if sorts else 0)
 
 
 class TestNonFiniteInput:
