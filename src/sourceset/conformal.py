@@ -500,21 +500,16 @@ def crc_calibrate(samples, levels: NominalLevels) -> float:
     violated, covering fewer than required_hits of its sources, exactly when
     lambda < t_i = 1 - its required_hits-th largest source probability. The
     loss is binary and monotone, so lambda_hat is finite_sample_quantile of
-    the t_i (+inf: the full node set), or the smallest 1 - prob of any source
-    when every sample may be violated. Each t_i is a 1 - prob value, so this
-    is the float a scan over all candidates returns, equal to 1 + the 'min'
-    score threshold to the last bit. Consumes `samples` as calibrate does.
+    the t_i (+inf: the full node set), the rank `calibrate` reads. Each t_i
+    is a 1 - prob value, so this is the float a scan over all candidates
+    returns, equal to 1 + the 'min' score threshold to the last bit.
+    Consumes `samples` as calibrate does.
     """
-    t, t_any = [], []
-    for block in ranked_blocks(samples):
-        t.append(1.0 - block.source_threshold(block.required_hits(levels.beta)))
-        t_any.append(1.0 - block.source_threshold(1))
+    t = [1.0 - block.source_threshold(block.required_hits(levels.beta))
+         for block in ranked_blocks(samples)]
     if not t:
         raise ValueError("need at least one calibration sample")
-    t = np.concatenate(t)
-    if math.floor(levels.alpha * (t.size + 1) + _CEIL_NUDGE) > t.size:
-        return float(np.concatenate(t_any).min())
-    return finite_sample_quantile(t, levels.alpha)
+    return finite_sample_quantile(np.concatenate(t), levels.alpha)
 
 
 def crc_predict(lambda_hat: float, probs) -> np.ndarray:

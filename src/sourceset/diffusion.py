@@ -48,7 +48,9 @@ view of its row, the layout `load_dataset` also produces. `Trajectory` and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,6 +78,8 @@ SIM_CHUNK_BYTES = 1 << 20
 # substream(seed, *seed_path, i). Experiment code reserves path prefixes.
 DEFAULT_HORIZON = 40
 DEFAULT_SNAPSHOTS = 16
+# the first observation instants of auto_first_observation: (fast, slow)
+_AUTO_FIRST_INSTANTS = (1, 2)
 
 
 def sim_chunk_rows(graph: Graph, horizon: int) -> int:
@@ -261,6 +265,15 @@ def simulate(graph: Graph, params: SirParams, sources, seed) -> Trajectory:
     return Trajectory(statuses=statuses[0], sources=src)
 
 
+def _window_end(t_first: int, n_snapshots: int, stride: int, horizon: int) -> int:
+    """Last instant of the window t_first, t_first + stride, ... of
+    n_snapshots instants; refused when it passes `horizon`."""
+    t_last = t_first + (n_snapshots - 1) * stride
+    if t_last > horizon:
+        raise ValueError(f"observation window ends at {t_last} but horizon is {horizon}")
+    return t_last
+
+
 def observe(traj: Trajectory, t_first: int, n_snapshots: int = DEFAULT_SNAPSHOTS,
             stride: int = 1) -> SnapshotMatrix:
     """Extract the observed snapshot window t_first, t_first+stride, ..."""
@@ -268,10 +281,7 @@ def observe(traj: Trajectory, t_first: int, n_snapshots: int = DEFAULT_SNAPSHOTS
         raise ValueError("t_first must be >= 1")
     if n_snapshots < 1 or stride < 1:
         raise ValueError("n_snapshots and stride must be >= 1")
-    t_last = t_first + (n_snapshots - 1) * stride
-    if t_last > traj.horizon:
-        raise ValueError(
-            f"observation window ends at {t_last} but horizon is {traj.horizon}")
+    t_last = _window_end(t_first, n_snapshots, stride, traj.horizon)
     times = np.arange(t_first, t_last + 1, stride, dtype=np.int64)
     return SnapshotMatrix(statuses=traj.statuses[times].T.copy(), times=times)
 
@@ -281,16 +291,37 @@ def observe(traj: Trajectory, t_first: int, n_snapshots: int = DEFAULT_SNAPSHOTS
 # ---------------------------------------------------------------------------
 
 
+def _read_range(name: str, spec, whole: bool) -> tuple:
+    """(lo, hi) of a range field: a finite real v as (v, v), or a two-item
+    list of finite reals with lo <= hi; floats, or ints when `whole`, which
+    also requires whole numbers. Each error names the field."""
+    pair = tuple(spec) if isinstance(spec, (tuple, list)) else (spec, spec)
+    kind = "whole number" if whole else "finite number"
+    if len(pair) != 2 or not all(
+            # the float bound also refuses NaN, inf and ints no float holds
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max and (not whole or float(v).is_integer())
+            for v in pair):
+        raise ValueError(f"{name} must be a {kind} or a [low, high] pair of "
+                         f"{kind}s, got {spec!r}")
+    if pair[1] < pair[0]:
+        raise ValueError(f"{name} range {spec!r} has low > high")
+    return tuple(int(v) for v in pair) if whole else tuple(float(v) for v in pair)
+
+
 @dataclass(frozen=True)
 class GenerativeConfig:
     """Distributions for one generative configuration.
 
     Range fields accept either a (low, high) pair for a uniform draw or a
-    single number for a fixed value. Exactly one of r0 / sigma_inf must be
-    set; with r0, sigma_inf is derived per sample from the graph's spectral
-    radius. t_first is either an explicit instant or "auto": observation
-    starts at 2 when the outbreak is slow to notice (single source, or
-    r0 in [1, 15]) and at 1 otherwise.
+    single number for a fixed value; source counts are whole numbers. Exactly
+    one of r0 / sigma_inf must be set; with r0, sigma_inf is derived per
+    sample from the graph's spectral radius. t_first is either an explicit
+    instant or "auto": observation starts at 2 when the outbreak is slow to
+    notice (single source, or r0 in [1, 15]) and at 1 otherwise.
+
+    Field types and ranges are checked here, each error naming its field;
+    samples draw from `bounds`, each set range field's (lo, hi).
     """
 
     source_count: tuple[int, int] | int = (1, 15)
@@ -301,22 +332,34 @@ class GenerativeConfig:
     n_snapshots: int = DEFAULT_SNAPSHOTS
     stride: int = 1
     t_first: int | str = "auto"
+    bounds: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.r0 is None) == (self.sigma_inf is None):
             raise ValueError("exactly one of r0 / sigma_inf must be given")
-        if isinstance(self.t_first, str) and self.t_first != "auto":
-            raise ValueError(f"t_first must be an integer or 'auto', got {self.t_first!r}")
         # windows and source counts no sample can satisfy, rejected before
         # any sample is simulated
         for name in ("horizon", "n_snapshots", "stride", "t_first"):
             value = getattr(self, name)
-            if not isinstance(value, str) and value < 1:
+            if name == "t_first" and value == "auto":
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                also = " or 'auto'" if name == "t_first" else ""
+                raise ValueError(f"{name} must be an integer{also}, got {value!r}")
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value!r}")
-        counts = self.source_count if isinstance(self.source_count, (tuple, list)) \
-            else (self.source_count,)
-        if min(counts) < 1:
+        rate = "r0" if self.r0 is not None else "sigma_inf"
+        bounds = {name: _read_range(name, getattr(self, name), name == "source_count")
+                  for name in ("source_count", "sigma_rec", rate)}
+        if bounds["source_count"][0] < 1:
             raise ValueError(f"source_count must be >= 1, got {self.source_count!r}")
+        object.__setattr__(self, "bounds", bounds)
+
+    @property
+    def needs_lambda1(self) -> bool:
+        """Whether sampling reads the graph's spectral radius: to derive
+        sigma_inf from r0, or r0 from sigma_inf for the "auto" start."""
+        return self.r0 is not None or self.t_first == "auto"
 
     def to_dict(self) -> dict:
         return {
@@ -327,60 +370,32 @@ class GenerativeConfig:
         }
 
 
-def _draw(rng: np.random.Generator, spec) -> float:
-    if isinstance(spec, (tuple, list)):
-        lo, hi = spec
-        if hi < lo:
-            raise ValueError(f"bad range {spec}")
-        return float(lo) if lo == hi else float(rng.uniform(lo, hi))
-    return float(spec)
-
-
-def _upper(spec) -> float:
-    """Largest value `_draw` can return for a range or fixed-value spec."""
-    return float(max(spec)) if isinstance(spec, (tuple, list)) else float(spec)
-
-
-def _draw_int(rng: np.random.Generator, spec) -> int:
-    if isinstance(spec, (tuple, list)):
-        lo, hi = int(spec[0]), int(spec[1])
-        if hi < lo:
-            raise ValueError(f"bad range {spec}")
-        return lo if lo == hi else int(rng.integers(lo, hi + 1))
-    return int(spec)
+def _draw(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
+    lo, hi = bounds
+    return lo if lo == hi else float(rng.uniform(lo, hi))
 
 
 def auto_first_observation(n_sources: int, r0: float | None) -> int:
-    """Start observing at 2 for slow outbreaks (single source or r0 in [1, 15])."""
-    if n_sources == 1:
-        return 2
-    if r0 is not None and 1.0 <= r0 <= 15.0:
-        return 2
-    return 1
-
-
-def _window_end(gen: GenerativeConfig, t_first: int) -> int:
-    return t_first + (gen.n_snapshots - 1) * gen.stride
+    """Start observing at 2 for slow outbreaks (single source or r0 in [1, 15]), else 1."""
+    slow = n_sources == 1 or (r0 is not None and 1.0 <= r0 <= 15.0)
+    return _AUTO_FIRST_INSTANTS[slow]
 
 
 def _draw_sample(rng: np.random.Generator, graph: Graph, gen: GenerativeConfig,
                  lambda1: float | None) -> tuple[np.ndarray, SirParams, int]:
     """Draw one sample's sources, rates and first observation instant."""
-    k = _draw_int(rng, gen.source_count)
-    sigma_rec = _draw(rng, gen.sigma_rec)
+    lo, hi = gen.bounds["source_count"]
+    k = lo if lo == hi else int(rng.integers(lo, hi + 1))
+    sigma_rec = _draw(rng, gen.bounds["sigma_rec"])
     if gen.r0 is not None:
-        r0 = _draw(rng, gen.r0)
+        r0 = _draw(rng, gen.bounds["r0"])
         sigma_inf = SirParams.from_r0(r0, sigma_rec, lambda1).sigma_inf
     else:
-        sigma_inf = _draw(rng, gen.sigma_inf)
+        sigma_inf = _draw(rng, gen.bounds["sigma_inf"])
         r0 = sigma_inf * lambda1 / sigma_rec if sigma_rec > 0.0 and lambda1 else None
     sources = np.sort(rng.choice(graph.n_nodes, size=k, replace=False))
-    t_first = gen.t_first if isinstance(gen.t_first, int) \
-        else auto_first_observation(k, r0)
-    t_last = _window_end(gen, t_first)
-    if t_last > gen.horizon:
-        raise ValueError(
-            f"observation window ends at {t_last} but horizon is {gen.horizon}")
+    t_first = auto_first_observation(k, r0) if gen.t_first == "auto" else gen.t_first
+    t_last = _window_end(t_first, gen.n_snapshots, gen.stride, gen.horizon)
     params = SirParams(sigma_inf=sigma_inf, sigma_rec=sigma_rec,
                        horizon=t_last, r0=r0)
     return sources, params, t_first
@@ -395,31 +410,34 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
     of the module docstring, so datasets are byte-identical on re-run and
     independent of execution order. Samples are simulated in chunks of
     `sim_chunk_rows` rows; the chunk size changes no sample. Source sets
-    are drawn uniformly without replacement from all nodes. An r0 range
-    whose upper ends derive sigma_inf > 1, and an r0 config on a graph
-    without edges, are rejected before the first sample.
+    are drawn uniformly without replacement from all nodes. More sources
+    than nodes, an r0 range whose upper ends derive sigma_inf > 1, an r0
+    config on a graph without edges and a window that no first instant
+    fits into the horizon are rejected before the first sample.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
-    max_sources = gen.source_count[1] if isinstance(gen.source_count, (tuple, list)) \
-        else gen.source_count
-    if max_sources > graph.n_nodes:
+    if gen.bounds["source_count"][1] > graph.n_nodes:
         raise ValueError("source_count exceeds number of nodes")
-    needs_lambda1 = gen.r0 is not None or gen.t_first == "auto"
-    if needs_lambda1 and lambda1 is None:
+    if gen.needs_lambda1 and lambda1 is None:
         lambda1 = spectral_radius(graph)
     if gen.r0 is not None:
+        r0_max, rec_max = gen.bounds["r0"][1], gen.bounds["sigma_rec"][1]
         if lambda1 <= 0.0:  # a graph without edges: from_r0 refuses it
-            SirParams.from_r0(_upper(gen.r0), _upper(gen.sigma_rec), lambda1)
+            SirParams.from_r0(r0_max, rec_max, lambda1)
         # sigma_inf = r0 * sigma_rec / lambda1 is largest at both upper ends
-        worst = _upper(gen.r0) * _upper(gen.sigma_rec) / lambda1
+        worst = r0_max * rec_max / lambda1
         if worst > 1.0:
             raise ValueError(
                 f"r0 range can derive sigma_inf = {worst:.6g} > 1 "
-                f"(r0 up to {_upper(gen.r0)}, sigma_rec up to "
-                f"{_upper(gen.sigma_rec)}, lambda1={lambda1:.6g})")
+                f"(r0 up to {r0_max}, sigma_rec up to {rec_max}, "
+                f"lambda1={lambda1:.6g})")
     n = graph.n_nodes
-    longest = _window_end(gen, gen.t_first if isinstance(gen.t_first, int) else 2)
+    # chunks fit the longest window; where only the earlier "auto" start
+    # fits the horizon, samples with the later start are refused at their draw
+    earliest, latest = _AUTO_FIRST_INSTANTS if gen.t_first == "auto" else (gen.t_first,) * 2
+    longest = _window_end(earliest, gen.n_snapshots, gen.stride, gen.horizon) \
+        + latest - earliest
     chunk = sim_chunk_rows(graph, longest)
     offsets = gen.stride * np.arange(gen.n_snapshots)
     # one uniform buffer serves every chunk; 1.0 freezes a row past its end

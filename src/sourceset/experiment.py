@@ -53,8 +53,19 @@ class ExperimentConfig:
     graph_seed: int = 0
 
     def __post_init__(self):
-        if self.n_cal < 1 or self.n_test < 1 or self.n_trials < 1:
-            raise ValueError("n_cal, n_test and n_trials must all be >= 1")
+        for name in ("graph_spec", "estimator"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("alphas", "betas", "score_kinds"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
+        for name, least in (("n_cal", 1), ("n_test", 1), ("n_trials", 1),
+                            ("seed", 0), ("graph_seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value!r}")
         if not self.alphas or not self.betas:
             raise ValueError("need at least one alpha and one beta")
         for kind in self.score_kinds:
@@ -191,8 +202,7 @@ def run_experiment(cfg: ExperimentConfig, graph: Graph | None = None) -> TrialRe
     started = time.perf_counter()
     if graph is None:
         graph = graph_from_spec(cfg.graph_spec, seed=cfg.graph_seed)
-    needs_lambda1 = cfg.generative.r0 is not None or cfg.generative.t_first == "auto"
-    lambda1 = spectral_radius(graph) if needs_lambda1 else None
+    lambda1 = spectral_radius(graph) if cfg.generative.needs_lambda1 else None
     estimator = build_estimator(cfg.estimator, graph)
 
     outcomes = []
@@ -226,7 +236,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list[tuple[object, TrialR
     An alpha or beta sweep runs the experiment once over all its values and
     splits the cells by value. A cell depends only on its own (score, alpha,
     beta), so each report equals a run with that value alone, except that
-    its runtimes are those of the shared run.
+    its runtimes are those of the shared run. An r0 or n_sources sweep
+    builds the graph once and runs every value on it.
     """
     values = list(values)
     if not values:
@@ -244,6 +255,10 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list[tuple[object, TrialR
                 trial_runtimes=shared.trial_runtimes,
                 total_runtime=shared.total_runtime)))
         return reports
+    if axis not in ("r0", "n_sources"):
+        raise ValueError(f"unknown sweep axis {axis!r}")
+    # every value runs on the one graph of the spec
+    graph = graph_from_spec(cfg.graph_spec, seed=cfg.graph_seed)
     reports = []
     for value in values:
         if axis == "r0":
@@ -251,13 +266,11 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list[tuple[object, TrialR
                 else (float(value), float(value))
             sub = replace(cfg, generative=replace(cfg.generative, r0=rng,
                                                   sigma_inf=None))
-        elif axis == "n_sources":
+        else:
             count = tuple(int(v) for v in value) if isinstance(value, (tuple, list)) \
                 else (int(value), int(value))
             sub = replace(cfg, generative=replace(cfg.generative, source_count=count))
-        else:
-            raise ValueError(f"unknown sweep axis {axis!r}")
-        reports.append((value, run_experiment(sub)))
+        reports.append((value, run_experiment(sub, graph=graph)))
     return reports
 
 

@@ -643,6 +643,59 @@ class TestSweepCommand:
         assert "'n_trial'" in capsys.readouterr().err
         assert not out.exists()
 
+    # the end-to-end determinism config: every probe there is refused
+    PROBE_CONFIG = {"graph_spec": "complete:20", "generative": {"n_snapshots": 4},
+                    "n_cal": 20, "n_test": 10, "n_trials": 2, "seed": 3}
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_cal", 10.5, "n_cal must be an integer, got 10.5"),
+        ("n_cal", True, "n_cal must be an integer, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("graph_seed", "x", "graph_seed must be an integer, got 'x'"),
+        ("graph_seed", 1.5, "graph_seed must be an integer, got 1.5"),
+        ("estimator", 5, "estimator must be a string, got 5"),
+        ("graph_spec", 12, "graph_spec must be a string, got 12"),
+        ("score_kinds", "pre", "score_kinds must be a list, got 'pre'")])
+    def test_experiment_field_type_refused(self, tmp_path, capsys, field, value,
+                                           message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.PROBE_CONFIG, field: value}))
+        out = tmp_path / "out"
+        assert run("sweep", "--config", str(path), "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_snapshots", 2.5, "n_snapshots must be an integer, got 2.5"),
+        ("stride", 1.5, "stride must be an integer, got 1.5"),
+        ("horizon", 10.5, "horizon must be an integer, got 10.5"),
+        ("t_first", 2.5, "t_first must be an integer or 'auto', got 2.5"),
+        ("r0", "5", "r0 must be a finite number or a [low, high] pair"),
+        ("r0", [1, "x"], "r0 must be a finite number or a [low, high] pair"),
+        ("r0", [1, 2, 3], "r0 must be a finite number or a [low, high] pair"),
+        ("sigma_rec", [0.4, 0.1], "sigma_rec range (0.4, 0.1) has low > high"),
+        ("source_count", [1.5, 3], "source_count must be a whole number")])
+    def test_generative_field_type_refused(self, tmp_path, capsys, field, value,
+                                           message):
+        cfg = {**self.PROBE_CONFIG,
+               "generative": {**self.PROBE_CONFIG["generative"], field: value}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run("sweep", "--config", str(path), "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and message in err
+        assert not out.exists()
+
+    def test_whole_float_source_count_accepted(self, tmp_path):
+        cfg = {**self.PROBE_CONFIG,
+               "generative": {**self.PROBE_CONFIG["generative"], "source_count": 2.0}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run("sweep", "--config", str(path), "--out-dir", str(tmp_path / "o")) == 0
+
     def test_sweep_reruns_byte_identical(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -701,15 +701,17 @@ class TestBruteforceEquivalence:
 def reference_crc_calibrate(samples, levels):
     """Candidate scan: every distinct 1 - prob over the sources, in increasing
     order, with a full violation count at each one; the first candidate that
-    meets (violations + 1) <= alpha (n + 1) is lambda_hat."""
+    meets (violations + 1) <= alpha (n + 1) is lambda_hat. A candidate that
+    violates all n samples never qualifies: (n + 1) / (n + 1) = 1 > alpha."""
     n = len(samples)
     needed = np.array([required_hits(len(y), levels.beta) for _, y in samples])
     flat = np.concatenate([1.0 - p[y] for p, y in samples])
     owners = np.repeat(np.arange(n), [len(y) for _, y in samples])
     bound = levels.alpha * (n + 1) + 1e-9  # the nudge of stable_ceil
     for lam in np.unique(flat):
-        hits = np.bincount(owners[flat <= lam], minlength=n)
-        if np.count_nonzero(hits < needed) + 1 <= bound:
+        violations = np.count_nonzero(np.bincount(owners[flat <= lam], minlength=n)
+                                      < needed)
+        if violations < n and violations + 1 <= bound:
             return float(lam)
     return math.inf
 
@@ -740,11 +742,23 @@ class TestCrcEquivalence:
                 assert lam == math.inf
                 branches["inf"] += 1
             elif allowed >= n_cal:
+                # the rank rule clamps to the smallest t_i, the 'min' threshold
+                assert lam == 1.0 + calibrate(samples, "min", levels).q_hat, (t, levels)
                 branches["all_violated"] += 1
             else:
                 branches["rank"] += 1
             branches["n_cal_1"] += n_cal == 1
         assert min(branches.values()) >= 50, branches
+
+    @pytest.mark.parametrize("n_cal, alpha", [(5, 1.0 - 1e-10), (10, 1.0 - 1e-11)])
+    def test_alpha_near_one_keeps_min_identity(self, n_cal, alpha):
+        # the rank clamps to the smallest t_i: lambda never violates every sample
+        rng = np.random.default_rng(22)
+        samples = self.make_samples(rng, 12, n_cal)
+        levels = NominalLevels(alpha=alpha, beta=0.3)
+        lam = crc_calibrate(samples, levels)
+        assert lam == 1.0 + calibrate(samples, "min", levels).q_hat
+        assert lam == reference_crc_calibrate(samples, levels)
 
     def test_threshold_identity_and_set_equality(self):
         report = run_equivalence_checks(n_nodes=12, trials=150, seed=19)

@@ -1,7 +1,9 @@
 """Simulator laws, snapshot windows, and dataset generation."""
 
 import json
+import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -491,6 +493,89 @@ class TestSampleDataset:
             GenerativeConfig(r0=None, sigma_inf=None)
         with pytest.raises(ValueError):
             GenerativeConfig(r0=(1, 2), sigma_inf=(0.1, 0.2))
+
+
+class TestGenerativeConfigFields:
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_snapshots", 2.5, "n_snapshots must be an integer, got 2.5"),
+        ("stride", 1.5, "stride must be an integer, got 1.5"),
+        ("horizon", 10.5, "horizon must be an integer, got 10.5"),
+        ("horizon", True, "horizon must be an integer, got True"),
+        ("t_first", 2.5, "t_first must be an integer or 'auto', got 2.5"),
+        ("t_first", "late", "t_first must be an integer or 'auto', got 'late'"),
+        ("r0", "5", "r0 must be a finite number or a [low, high] pair"),
+        ("r0", (1, "x"), "r0 must be a finite number or a [low, high] pair"),
+        ("r0", (1, 2, 3), "r0 must be a finite number or a [low, high] pair"),
+        ("r0", (1.0, math.inf), "r0 must be a finite number"),
+        ("r0", math.nan, "r0 must be a finite number"),
+        ("r0", (1, 10**400), "r0 must be a finite number"),
+        ("sigma_rec", True, "sigma_rec must be a finite number"),
+        ("sigma_rec", None, "sigma_rec must be a finite number"),
+        ("sigma_rec", (0.4, 0.1), "sigma_rec range (0.4, 0.1) has low > high"),
+        ("source_count", (1.5, 3), "source_count must be a whole number"),
+        ("source_count", 2.5, "source_count must be a whole number"),
+        ("source_count", (4, 2), "source_count range (4, 2) has low > high")])
+    def test_bad_field_refused_naming_it(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            GenerativeConfig(**{field: value})
+        assert message in str(info.value)
+
+    def test_bad_range_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a sample was drawn before the range check")
+
+        monkeypatch.setattr(diffusion, "substream", no_draws)
+        with pytest.raises(ValueError, match="sigma_rec range"):
+            sample_dataset(complete_graph(12),
+                           GenerativeConfig(sigma_rec=[0.4, 0.1]), 0, seed=1)
+
+    @pytest.mark.parametrize("values", [
+        dict(), dict(source_count=2.0), dict(source_count=[2.0, 3]),
+        dict(r0=5, sigma_rec=[0.1, 0.1]), dict(r0=None, sigma_inf=[0.1, 0.3]),
+        dict(t_first=3, horizon=20, n_snapshots=4, stride=2)])
+    def test_valid_config_keeps_its_values(self, values):
+        gen = GenerativeConfig(**values)
+        defaults = GenerativeConfig().to_dict()
+        assert gen.to_dict() == {**defaults, **values}
+        for name, value in gen.to_dict().items():
+            assert type(value) is type({**defaults, **values}[name])
+
+    def test_whole_float_source_count_draws_as_int(self):
+        g = complete_graph(12)
+        base = dict(r0=None, sigma_inf=0.2, sigma_rec=0.1, n_snapshots=3)
+        floats = sample_dataset(g, GenerativeConfig(source_count=(2.0, 4.0), **base),
+                                8, seed=5)
+        ints = sample_dataset(g, GenerativeConfig(source_count=(2, 4), **base), 8, seed=5)
+        for a, b in zip(floats, ints, strict=True):
+            assert np.array_equal(a.sources, b.sources)
+            assert np.array_equal(a.x.statuses, b.x.statuses)
+
+    def test_window_no_start_fits_refused_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("a sample was drawn before the window check")
+
+        monkeypatch.setattr(diffusion, "substream", no_draws)
+        for t_first, horizon, end in ((3, 16, 18), ("auto", 15, 16)):
+            gen = GenerativeConfig(source_count=1, t_first=t_first, horizon=horizon)
+            with pytest.raises(ValueError, match=f"window ends at {end} but "
+                                                 f"horizon is {horizon}"):
+                sample_dataset(complete_graph(12), gen, 0, seed=1)
+
+    def test_auto_window_only_the_early_start_fits(self):
+        # SI with two or more sources always starts at 1, ending on the horizon
+        g = complete_graph(12)
+        gen = GenerativeConfig(source_count=(2, 4), r0=None, sigma_inf=0.2,
+                               sigma_rec=0.0, horizon=16)
+        samples = sample_dataset(g, gen, 6, seed=2)
+        assert all(s.x.times.tolist() == list(range(1, 17)) for s in samples)
+        with pytest.raises(ValueError, match="window ends at 17 but horizon is 16"):
+            sample_dataset(g, replace(gen, source_count=1), 6, seed=2)
+
+    def test_needs_lambda1(self):
+        assert GenerativeConfig().needs_lambda1
+        assert GenerativeConfig(r0=None, sigma_inf=0.2).needs_lambda1
+        assert GenerativeConfig(r0=2.0, t_first=1).needs_lambda1
+        assert not GenerativeConfig(r0=None, sigma_inf=0.2, t_first=1).needs_lambda1
 
 
 # a record field that the test deletes instead of setting

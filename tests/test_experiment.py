@@ -51,6 +51,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="estimator spec 'mc:0'"):
             small_config(estimator="mc:0")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_test", 0, "n_test must be >= 1, got 0"),
+        ("n_trials", np.int64(3), "n_trials must be an integer"),
+        ("graph_seed", -2, "graph_seed must be >= 0, got -2"),
+        ("alphas", 0.1, "alphas must be a list, got 0.1"),
+        ("betas", "0.3", "betas must be a list, got '0.3'")])
+    def test_field_types_named(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            small_config(**{field: value})
+        assert message in str(info.value)
+
     def test_file_estimator_path_not_read_by_config(self, tmp_path):
         # the config checks the spec's grammar; the file is read when a run
         # builds the estimator
@@ -243,6 +254,33 @@ class TestSweep:
         cfg = small_config(n_trials=2, graph_spec="complete:40")
         reports = sweep(cfg, "r0", [(1.0, 6.0), (8.0, 12.0)])
         assert len(reports) == 2
+
+    @pytest.mark.parametrize("axis, values", [
+        ("r0", [(1.0, 6.0), 3.0, (2.0, 4.0)]), ("n_sources", [(1, 3), 2, 4])])
+    def test_generative_sweep_builds_graph_once(self, axis, values, tmp_path,
+                                                monkeypatch):
+        cfg = small_config(n_trials=2)
+        separate = [run_experiment(replace(cfg, generative=replace(
+            cfg.generative, **({"r0": value if isinstance(value, tuple)
+                                 else (value, value)} if axis == "r0" else
+                                {"source_count": value if isinstance(value, tuple)
+                                 else (value, value)}))))
+            for value in values]
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args)
+            return graph_from_spec(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "graph_from_spec", counted)
+        reports = sweep(cfg, axis, values)
+        assert len(builds) == 1
+        for k, ((_, report), base) in enumerate(zip(reports, separate, strict=True)):
+            write_reports(report, tmp_path / f"t{k}.csv", tmp_path / f"s{k}.csv")
+            write_reports(base, tmp_path / f"bt{k}.csv", tmp_path / f"bs{k}.csv")
+            for name in ("t", "s"):
+                assert ((tmp_path / f"{name}{k}.csv").read_bytes()
+                        == (tmp_path / f"b{name}{k}.csv").read_bytes())
 
     def test_unknown_axis_and_empty_values(self):
         cfg = small_config(n_trials=2)
