@@ -25,14 +25,21 @@ from sourceset.graph import graph_from_spec
 from sourceset.util import substream, write_jsonl_header, read_jsonl
 
 
-def _parse_range(text: str, cast):
-    """Parse 'x' as a fixed value or 'lo,hi' as a uniform range."""
-    parts = text.split(",")
-    if len(parts) == 1:
-        return cast(parts[0])
-    if len(parts) == 2:
-        return (cast(parts[0]), cast(parts[1]))
-    raise click.BadParameter(f"expected VALUE or LO,HI, got {text!r}")
+def _cast(token: str, cast, name: str):
+    """`cast(token)`; a token it cannot read is a BadParameter naming option `name`."""
+    try:
+        return cast(token)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise click.BadParameter(f"{token!r} is not {kind}", param_hint=name) from None
+
+
+def _parse_range(text: str, cast, name: str):
+    """Parse option `name`'s 'x' as a fixed value or 'lo,hi' as a uniform range."""
+    values = tuple(_cast(part, cast, name) for part in text.split(","))
+    if len(values) > 2:
+        raise click.BadParameter(f"expected VALUE or LO,HI, got {text!r}", param_hint=name)
+    return values if len(values) == 2 else values[0]
 
 
 @click.group()
@@ -65,12 +72,13 @@ def simulate(graph_spec, graph_seed, sigma_inf, r0, sigma_rec, sources, samples,
         raise click.UsageError("give exactly one of --sigma-inf / --r0")
     graph = graph_from_spec(graph_spec, seed=graph_seed)
     gen = GenerativeConfig(
-        source_count=_parse_range(sources, int),
-        r0=_parse_range(r0, float) if r0 is not None else None,
-        sigma_inf=_parse_range(sigma_inf, float) if sigma_inf is not None else None,
-        sigma_rec=_parse_range(sigma_rec, float),
+        source_count=_parse_range(sources, int, "--sources"),
+        r0=_parse_range(r0, float, "--r0") if r0 is not None else None,
+        sigma_inf=(_parse_range(sigma_inf, float, "--sigma-inf")
+                   if sigma_inf is not None else None),
+        sigma_rec=_parse_range(sigma_rec, float, "--sigma-rec"),
         horizon=horizon, n_snapshots=snapshots, stride=stride,
-        t_first=t_first if t_first == "auto" else int(t_first),
+        t_first=t_first if t_first == "auto" else _cast(t_first, int, "--t-first"),
     )
     data = sample_dataset(graph, gen, samples, seed)
     config = {"graph_spec": graph_spec, "graph_seed": graph_seed,
@@ -361,9 +369,6 @@ def main(argv=None) -> int:
         return 0
     except click.exceptions.Exit as exc:  # --help and friends
         return int(exc.exit_code)
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
     except click.ClickException as exc:
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1

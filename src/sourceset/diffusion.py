@@ -18,28 +18,43 @@ are kept per flat node and updated each step by one scatter of +1 (S -> I)
 or -1 (I -> R) over the arcs of the nodes whose status just changed; no
 N x N array is built.
 
-Draw order. `simulate(graph, params, sources, rng)` draws one block
-rng.random((horizon, n_nodes)) and nothing else. `sample_dataset` gives
-sample i the substream (seed, *seed_path, i) and draws from it, in order:
-the source count, sigma_rec, r0 (or sigma_inf), the source set, then the
-uniform block of shape (t_last, n_nodes), t_last being the last observed
-instant. A sample is therefore the same for every chunk size, and equals
-`simulate` run on its substream right after the source set is drawn.
+One cascade loop. Every cascade reaches `simulate_batch` through
+`simulate_cascades(graph, bound, cascades)`: `simulate` as a batch of one,
+`sample_dataset` with one cascade per sample, and the Monte Carlo estimator
+with one per (candidate, run). A cascade is a (sources, params, rng, times)
+tuple: its start nodes, the params whose rates it runs with, the rng of its
+uniforms and its increasing observation instants, none past `bound`.
 
-Chunks. `sample_dataset` and the Monte Carlo estimator simulate
-`sim_chunk_rows(graph, horizon)` rows at a time: SIM_CHUNK_BYTES divided by
-the larger of a row's uniforms (8 * n_nodes * horizon bytes) and its flat
-arc tables (8 * (len(indices) + 2 * n_nodes) bytes). On sparse graphs the
-uniforms are larger; on a dense graph with a short window the arc tables
-are, and they set the chunk.
+Draw order. A cascade draws one uniform block of shape (times[-1],
+n_nodes) from its rng, row t - 1 for step t, and nothing else; rows draw in
+row order, so cascades that share an rng (the Monte Carlo rows) take
+consecutive blocks. `simulate(graph, params, sources, rng)` observes
+0..horizon and so draws rng.random((horizon, n_nodes)). `sample_dataset`
+gives sample i the substream (seed, *seed_path, i) and draws from it, in
+order: the source count, sigma_rec, r0 (or sigma_inf), the source set, then
+the uniform block up to its last observed instant t_last. A sample is
+therefore the same for every chunk size, and equals `simulate` run on its
+substream right after the source set is drawn.
+
+Chunks. `simulate_cascades` pulls its cascades lazily,
+`sim_chunk_rows(graph, bound)` at a time, so at most one chunk of cascades
+(and of sample rngs) is alive: SIM_CHUNK_BYTES divided by the larger of a
+row's uniforms (8 * n_nodes * bound bytes) and its flat arc tables
+(8 * (len(indices) + 2 * n_nodes) bytes). On sparse graphs the uniforms
+are larger; on a dense graph with a short window the arc tables are, and
+they set the chunk. One uniform buffer serves every chunk; a row ending
+before the chunk's longest is padded with 1.0, which freezes it.
+`sample_dataset`'s bound is the window end of the latest first instant a
+sample can take, and a config whose window passes the horizon from such an
+instant is refused before any draw.
 
 Dataset files. `save_dataset` writes one JSON line per sample, encoding the
 status strings with one bytes translation per sample, and `load_dataset`
 decodes them the same way; the files are the bytes `json.dumps` gives for
 the record (see the format note above `save_dataset`).
 
-Observed windows. `sample_dataset` gathers the observed window of every row
-of a chunk in one index, a time-major (rows, n_snapshots, n_nodes) array; a
+Observed windows. `simulate_cascades` gathers the observed window of
+every row of a chunk in one index, a time-major (rows, n_snapshots, n_nodes) array; a
 sample's `SnapshotMatrix.statuses` is the transposed (n_nodes, n_snapshots)
 view of its row, the layout `load_dataset` also produces. `Trajectory` and
 `observe` are for single cascades from `simulate`; datasets do not use them.
@@ -47,6 +62,7 @@ view of its row, the layout `load_dataset` also produces. `Trajectory` and
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 import sys
@@ -78,8 +94,6 @@ SIM_CHUNK_BYTES = 1 << 20
 # substream(seed, *seed_path, i). Experiment code reserves path prefixes.
 DEFAULT_HORIZON = 40
 DEFAULT_SNAPSHOTS = 16
-# the first observation instants of auto_first_observation: (fast, slow)
-_AUTO_FIRST_INSTANTS = (1, 2)
 
 
 def sim_chunk_rows(graph: Graph, horizon: int) -> int:
@@ -249,6 +263,30 @@ def simulate_batch(graph: Graph, sources: np.ndarray, sigma_inf, sigma_rec,
     return out
 
 
+def simulate_cascades(graph: Graph, bound: int, cascades):
+    """Simulate cascades, each a (sources, params, rng, times) tuple, pulled
+    `sim_chunk_rows(graph, bound)` at a time; no instant passes `bound`.
+    Yields each chunk's (cascades, windows), windows[r] being row r's
+    (m, n_nodes) int8 statuses at its `times`. Row r draws its (times[-1],
+    n_nodes) uniforms from its rng, in row order, into one buffer that every
+    chunk reuses, and is padded with 1.0 after them.
+    """
+    cascades = iter(cascades)
+    chunk_rows = sim_chunk_rows(graph, bound)
+    block = np.empty((chunk_rows, bound, graph.n_nodes))
+    while chunk := list(itertools.islice(cascades, chunk_rows)):
+        rows = len(chunk)
+        uniforms = block[:rows, :max(times[-1] for *_, times in chunk)]
+        start = np.zeros((rows, graph.n_nodes), dtype=bool)
+        for r, (sources, _, rng, times) in enumerate(chunk):
+            start[r, sources] = True
+            rng.random(out=uniforms[r, :times[-1]])
+            uniforms[r, times[-1]:] = 1.0
+        rates = np.array([(p.sigma_inf, p.sigma_rec) for _, p, _, _ in chunk])
+        statuses = simulate_batch(graph, start, rates[:, 0], rates[:, 1], uniforms)
+        yield chunk, statuses[np.arange(rows)[:, None], [times for *_, times in chunk]]
+
+
 def simulate(graph: Graph, params: SirParams, sources, seed) -> Trajectory:
     """Run one SIR cascade from the given source set: a batch of one.
 
@@ -256,13 +294,9 @@ def simulate(graph: Graph, params: SirParams, sources, seed) -> Trajectory:
     (horizon, n_nodes) from it, row t - 1 for step t.
     """
     src = check_node_set(sources, graph.n_nodes)
-    rng = as_generator(seed)
-    start = np.zeros((1, graph.n_nodes), dtype=bool)
-    start[0, src] = True
-    uniforms = rng.random((1, params.horizon, graph.n_nodes))
-    statuses = simulate_batch(graph, start, params.sigma_inf, params.sigma_rec,
-                              uniforms)
-    return Trajectory(statuses=statuses[0], sources=src)
+    cascade = (src, params, as_generator(seed), np.arange(params.horizon + 1))
+    [(_, windows)] = simulate_cascades(graph, params.horizon, [cascade])
+    return Trajectory(statuses=windows[0], sources=src)
 
 
 def _window_end(t_first: int, n_snapshots: int, stride: int, horizon: int) -> int:
@@ -378,12 +412,35 @@ def _draw(rng: np.random.Generator, bounds: tuple[float, float]) -> float:
 def auto_first_observation(n_sources: int, r0: float | None) -> int:
     """Start observing at 2 for slow outbreaks (single source or r0 in [1, 15]), else 1."""
     slow = n_sources == 1 or (r0 is not None and 1.0 <= r0 <= 15.0)
-    return _AUTO_FIRST_INSTANTS[slow]
+    return 2 if slow else 1
+
+
+def _latest_first_observation(gen: GenerativeConfig, lambda1: float | None) -> int:
+    """The latest first observation instant a sample of `gen` can take: its
+    t_first, or for "auto" the slow start when the bounds reach it (a
+    source-count minimum of 1, or an r0 range meeting [1, 15]), else 1.
+
+    A sigma_inf config's r0 = sigma_inf * lambda1 / sigma_rec spans
+    [sinf_lo * lambda1 / srec_hi, sinf_hi * lambda1 / srec_lo], computed as
+    the draws compute it; there is no r0 when sigma_rec or lambda1 is 0.
+    """
+    if gen.t_first != "auto":
+        return gen.t_first
+    r0 = gen.bounds.get("r0")
+    rec_lo, rec_hi = gen.bounds["sigma_rec"]
+    if r0 is None and rec_hi > 0.0 and lambda1:
+        inf_lo, inf_hi = gen.bounds["sigma_inf"]
+        r0 = (inf_lo * lambda1 / rec_hi,
+              inf_hi * lambda1 / rec_lo if rec_lo > 0.0 else np.inf)
+    # the point of the r0 range nearest to [1, 15] lies in it iff they meet
+    nearest = None if r0 is None else min(max(r0[0], 1.0), r0[1])
+    return auto_first_observation(gen.bounds["source_count"][0], nearest)
 
 
 def _draw_sample(rng: np.random.Generator, graph: Graph, gen: GenerativeConfig,
-                 lambda1: float | None) -> tuple[np.ndarray, SirParams, int]:
-    """Draw one sample's sources, rates and first observation instant."""
+                 lambda1: float | None) -> tuple:
+    """Draw one sample's sources and rates from `rng`: its cascade (sources,
+    params, rng, times) for `simulate_cascades`."""
     lo, hi = gen.bounds["source_count"]
     k = lo if lo == hi else int(rng.integers(lo, hi + 1))
     sigma_rec = _draw(rng, gen.bounds["sigma_rec"])
@@ -395,10 +452,10 @@ def _draw_sample(rng: np.random.Generator, graph: Graph, gen: GenerativeConfig,
         r0 = sigma_inf * lambda1 / sigma_rec if sigma_rec > 0.0 and lambda1 else None
     sources = np.sort(rng.choice(graph.n_nodes, size=k, replace=False))
     t_first = auto_first_observation(k, r0) if gen.t_first == "auto" else gen.t_first
-    t_last = _window_end(t_first, gen.n_snapshots, gen.stride, gen.horizon)
+    times = np.arange(t_first, t_first + gen.n_snapshots * gen.stride, gen.stride)
     params = SirParams(sigma_inf=sigma_inf, sigma_rec=sigma_rec,
-                       horizon=t_last, r0=r0)
-    return sources, params, t_first
+                       horizon=int(times[-1]), r0=r0)
+    return sources, params, rng, times
 
 
 def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: int,
@@ -412,8 +469,9 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
     `sim_chunk_rows` rows; the chunk size changes no sample. Source sets
     are drawn uniformly without replacement from all nodes. More sources
     than nodes, an r0 range whose upper ends derive sigma_inf > 1, an r0
-    config on a graph without edges and a window that no first instant
-    fits into the horizon are rejected before the first sample.
+    config on a graph without edges and a window that passes the horizon
+    from a first instant some sample can take are rejected before the
+    first sample.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be >= 0")
@@ -432,39 +490,16 @@ def sample_dataset(graph: Graph, gen: GenerativeConfig, n_samples: int, seed: in
                 f"r0 range can derive sigma_inf = {worst:.6g} > 1 "
                 f"(r0 up to {r0_max}, sigma_rec up to {rec_max}, "
                 f"lambda1={lambda1:.6g})")
-    n = graph.n_nodes
-    # chunks fit the longest window; where only the earlier "auto" start
-    # fits the horizon, samples with the later start are refused at their draw
-    earliest, latest = _AUTO_FIRST_INSTANTS if gen.t_first == "auto" else (gen.t_first,) * 2
-    longest = _window_end(earliest, gen.n_snapshots, gen.stride, gen.horizon) \
-        + latest - earliest
-    chunk = sim_chunk_rows(graph, longest)
-    offsets = gen.stride * np.arange(gen.n_snapshots)
-    # one uniform buffer serves every chunk; 1.0 freezes a row past its end
-    block = np.empty((min(chunk, n_samples), longest, n))
+    # the window of the latest start a sample can take bounds every window
+    longest = _window_end(_latest_first_observation(gen, lambda1), gen.n_snapshots,
+                          gen.stride, gen.horizon)
+    cascades = (_draw_sample(substream(seed, *seed_path, i), graph, gen, lambda1)
+                for i in range(n_samples))
     samples = []
-    for lo in range(0, n_samples, chunk):
-        drawn = []
-        for i in range(lo, min(lo + chunk, n_samples)):
-            rng = substream(seed, *seed_path, i)
-            drawn.append((rng, *_draw_sample(rng, graph, gen, lambda1)))
-        rows = len(drawn)
-        horizon = max(params.horizon for _, _, params, _ in drawn)
-        start = np.zeros((rows, n), dtype=bool)
-        uniforms = block[:rows, :horizon]
-        for r, (rng, sources, params, _) in enumerate(drawn):
-            start[r, sources] = True
-            rng.random(out=uniforms[r, :params.horizon])
-            uniforms[r, params.horizon:] = 1.0
-        statuses = simulate_batch(
-            graph, start, [params.sigma_inf for _, _, params, _ in drawn],
-            [params.sigma_rec for _, _, params, _ in drawn], uniforms)
-        # every row's observed window in one gather: (rows, n_snapshots, n)
-        times = np.array([t_first for *_, t_first in drawn])[:, None] + offsets
-        window = statuses[np.arange(rows)[:, None], times]
-        for r, (_, sources, params, _) in enumerate(drawn):
-            x = SnapshotMatrix(statuses=window[r].T, times=times[r])
-            samples.append(LabeledSample(index=lo + r, x=x, sources=sources,
+    for chunk, windows in simulate_cascades(graph, longest, cascades):
+        for (sources, params, _, times), window in zip(chunk, windows):
+            x = SnapshotMatrix(statuses=window.T, times=times)
+            samples.append(LabeledSample(index=len(samples), x=x, sources=sources,
                                          params=params))
     return samples
 

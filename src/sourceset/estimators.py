@@ -28,7 +28,7 @@ import numpy as np
 
 from sourceset.conformal import block_rows
 from sourceset.diffusion import (SUSCEPTIBLE, LabeledSample, SirParams, SnapshotMatrix,
-                                 sim_chunk_rows, simulate_batch)
+                                 simulate_cascades)
 from sourceset.graph import Graph
 from sourceset.util import as_generator
 
@@ -106,10 +106,10 @@ def estimate_monte_carlo(x: SnapshotMatrix, graph: Graph, params: SirParams,
 
     Candidates are the infected/recovered support of the first snapshot (all
     nodes if that support is empty). For each candidate, k_sims cascades are
-    run through `simulate_batch`, one row per (candidate, run) in that order,
-    each drawing its uniform block from `seed` in row order. The fitness is
-    the mean Jaccard similarity between the simulated and observed
-    ever-infected sets at the matched observation instants.
+    run through `diffusion.simulate_cascades`, one row per (candidate, run)
+    in that order, each drawing its uniform block from `seed` in row order.
+    The fitness is the mean Jaccard similarity between the simulated and
+    observed ever-infected sets at the matched observation instants.
     Fitness is mapped to [PROB_FLOOR, 1] by dividing by the best candidate.
 
     `params` are the rates the cascades run with; `build_estimator` passes
@@ -124,30 +124,20 @@ def estimate_monte_carlo(x: SnapshotMatrix, graph: Graph, params: SirParams,
     candidates = np.flatnonzero(x.statuses[:, 0] != SUSCEPTIBLE)
     if candidates.size == 0:
         candidates = np.arange(n)
-    starts = np.repeat(candidates, k_sims)
-    horizon = max(int(x.times.max()), 1)
     obs_ir = (x.statuses != SUSCEPTIBLE).T  # (m, n)
     obs_weights = obs_ir.astype(np.float64)
     obs_sizes = obs_ir.sum(axis=1)
-    chunk = sim_chunk_rows(graph, horizon)
-    block = np.empty((min(chunk, starts.size), horizon, n))
-    jaccard = np.empty((starts.size, x.times.size))
-    for lo in range(0, starts.size, chunk):
-        rows = starts[lo:lo + chunk]
-        start = np.zeros((rows.size, n), dtype=bool)
-        start[np.arange(rows.size), rows] = True
-        # rows draw their uniform blocks from rng in row order, so the
-        # chunk size changes no row
-        uniforms = rng.random(out=block[:rows.size])
-        statuses = simulate_batch(graph, start, params.sigma_inf, params.sigma_rec,
-                                  uniforms)
-        sim_ir = statuses[:, x.times] != SUSCEPTIBLE  # (rows, m, n)
+    # one row per (candidate, run), all drawing from rng in row order, so
+    # the chunk size changes no row
+    cascades = ((start, params, rng, x.times) for start in np.repeat(candidates, k_sims))
+    jaccard = []
+    for _, window in simulate_cascades(graph, int(x.times[-1]), cascades):
+        sim_ir = window != SUSCEPTIBLE  # (rows, m, n)
         inter = np.einsum("rmn,mn->rm", sim_ir, obs_weights)  # exact integers
         union = (sim_ir.sum(axis=2) + obs_sizes[None, :]) - inter
-        jaccard[lo:lo + rows.size] = np.where(union > 0, inter / np.maximum(union, 1),
-                                              1.0)
+        jaccard.append(np.where(union > 0, inter / np.maximum(union, 1), 1.0))
     # averaged once over all rows, so float rounding does not see the chunks
-    fitness = jaccard.mean(axis=1).reshape(candidates.size, k_sims).mean(axis=1)
+    fitness = np.concatenate(jaccard).mean(axis=1).reshape(-1, k_sims).mean(axis=1)
 
     probs = np.full(n, PROB_FLOOR)
     best = fitness.max()

@@ -67,9 +67,16 @@ def write_jsonl_header(fh, kind: str, seed, config: dict) -> None:
 
 
 def read_jsonl(path):
-    """Yield parsed records from a JSON-lines file, header included."""
+    """Yield parsed records from a JSON-lines file, header included. A line
+    that is not valid JSON, or not a JSON object, is a ValueError naming the
+    file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:  # a JSONDecodeError is a ValueError
+                    rec = json.loads(line)
+                    if not isinstance(rec, dict):
+                        raise ValueError("record is not a JSON object")
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
+                yield rec

@@ -144,6 +144,67 @@ class TestExitCodes:
         assert f"{field} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("samples, seed", [(0, 1), (2, 3), (40, 1)])
+    def test_window_past_horizon_from_a_reachable_start_refused(self, tmp_path, capsys,
+                                                                 samples, seed):
+        # a single source starts at 2, so 16 snapshots end at 17
+        out = tmp_path / "d.jsonl"
+        assert run("simulate", "--graph", "complete:12", "--sigma-inf", "0.2",
+                   "--sigma-rec", "0.1", "--sources", "1,4", "--horizon", "16",
+                   "--samples", str(samples), "--seed", str(seed),
+                   "--out", str(out)) == 1
+        assert "window ends at 17 but horizon is 16" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_window_fitting_every_reachable_start_accepted(self, tmp_path):
+        # SI with two or more sources can only start at 1
+        assert run("simulate", "--graph", "complete:12", "--sigma-inf", "0.2",
+                   "--sigma-rec", "0", "--sources", "2,4", "--horizon", "16",
+                   "--samples", "40", "--seed", "1",
+                   "--out", str(tmp_path / "d.jsonl")) == 0
+
+    @pytest.mark.parametrize("option, token, message", [
+        ("--t-first", "2.5", "'2.5' is not an integer"),
+        ("--sources", "1,x", "'x' is not an integer"),
+        ("--sources", "2.0", "'2.0' is not an integer"),
+        ("--sigma-rec", "0.1,y", "'y' is not a number"),
+        ("--sigma-inf", "0.1,0.2,0.3", "expected VALUE or LO,HI, got '0.1,0.2,0.3'")])
+    def test_bad_simulate_token_names_its_option(self, tmp_path, capsys, option, token,
+                                                 message):
+        options = {"--graph": "complete:12", "--sigma-inf": "0.2", "--seed": "1",
+                   "--samples": "2", "--out": str(tmp_path / "d.jsonl"), option: token}
+        assert run("simulate", *(t for kv in options.items() for t in kv)) == 1
+        assert capsys.readouterr().err == \
+            f"error: Invalid value for {option}: {message}\n"
+
+    @pytest.mark.parametrize("command, target, line, message", [
+        ("calibrate", "data", "[1, 2]", "record is not a JSON object"),
+        ("predict", "model", '"x"', "record is not a JSON object"),
+        ("evaluate", "sets", "7", "record is not a JSON object"),
+        ("calibrate", "data", "{oops", "Expecting property name")])
+    def test_bad_json_line_names_file_and_line(self, tmp_path, capsys, command, target,
+                                               line, message):
+        paths = {name: tmp_path / name for name in ("data", "model", "sets")}
+        assert run(*simulate_args(paths["data"], samples=5)) == 0
+        assert run("calibrate", "--data", str(paths["data"]), "--score", "rec",
+                   "--alpha", "0.2", "--out", str(paths["model"])) == 0
+        assert run("predict", "--model", str(paths["model"]), "--data",
+                   str(paths["data"]), "--out", str(paths["sets"])) == 0
+        path = paths[target]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        lineno = len(path.read_text().splitlines())
+        argv = {
+            "calibrate": ("--data", paths["data"], "--score", "rec", "--alpha", "0.2"),
+            "predict": ("--model", paths["model"], "--data", paths["data"]),
+            "evaluate": ("--sets", paths["sets"], "--data", paths["data"])}[command]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(command, *map(str, argv), "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: line {lineno}: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, token", [
         ("q_hat", "NaN"), ("q_hat", '"nan"'), ("q_hat", '"-inf"'),
         ("q_hat", "-Infinity"), ("q_hat", "[1]"), ("score", '"max"'), ("alpha", '"0.1"'),

@@ -281,6 +281,71 @@ class TestSimulateBatch:
                            np.ones((2, 2, 5)))
 
 
+class TestSimulateCascades:
+    """The chunked cascade loop that simulate, sample_dataset and the Monte
+    Carlo estimator share."""
+
+    # ba:40,2 with windows ending at step 10 or earlier: a row's uniforms
+    # outweigh its arc tables, so SIM_CHUNK_BYTES sets rows per chunk
+    graph = barabasi_albert_graph(40, 2, seed=1)
+    bound = 10
+
+    def mixed(self):
+        """23 cascades of 4 instants ending at steps 4 to 9, each on its own
+        rng."""
+        for i in range(23):
+            rng = substream(3, i)
+            sources = np.sort(rng.choice(40, size=1 + i % 3, replace=False))
+            params = SirParams(sigma_inf=0.1 + 0.02 * i, sigma_rec=0.05 * (i % 4))
+            yield sources, params, rng, 1 + i % 3 + (1 + i % 2) * np.arange(4)
+
+    def shared(self):
+        """20 single-source cascades on one rng, all observed at 2, 4, 6."""
+        rng = substream(9)
+        params = SirParams(sigma_inf=0.3, sigma_rec=0.1)
+        for v in np.repeat([0, 5, 17, 33], 5):
+            yield v, params, rng, np.array([2, 4, 6])
+
+    def alone(self, cascades):
+        """Each cascade as per-row `simulate` over its own window plus a
+        gather, in row order."""
+        return [simulate(self.graph, replace(params, horizon=int(times[-1])),
+                         sources, rng).statuses[times]
+                for sources, params, rng, times in cascades]
+
+    @pytest.mark.parametrize("cascades", ["mixed", "shared"])
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_windows_equal_simulate_alone(self, monkeypatch, cascades, rows):
+        make = getattr(self, cascades)
+        want = self.alone(make())
+        if rows is not None:
+            monkeypatch.setattr(diffusion, "SIM_CHUNK_BYTES",
+                                rows * 8 * self.graph.n_nodes * self.bound)
+        chunks = list(diffusion.simulate_cascades(self.graph, self.bound, make()))
+        sizes = [len(chunk) for chunk, _ in chunks]
+        assert sizes[0] == (rows or len(want)) and sum(sizes) == len(want)
+        got = [w for chunk, windows in chunks for w in windows]
+        for a, b in zip(got, want):
+            assert a.dtype == np.int8 and np.array_equal(a, b)
+
+    def test_one_chunk_pulled_before_the_first_window(self, monkeypatch):
+        monkeypatch.setattr(diffusion, "SIM_CHUNK_BYTES",
+                            7 * 8 * self.graph.n_nodes * self.bound)
+        pulled = []
+
+        def counting():
+            for cascade in self.mixed():
+                pulled.append(cascade)
+                yield cascade
+
+        chunks = diffusion.simulate_cascades(self.graph, self.bound, counting())
+        assert pulled == []
+        chunk, windows = next(chunks)
+        assert len(chunk) == len(pulled) == 7 and windows.shape == (7, 4, 40)
+        next(chunks)
+        assert len(pulled) == 14
+
+
 class TestObserve:
     def test_single_snapshot_equals_trajectory_column(self):
         g = complete_graph(8)
@@ -555,7 +620,8 @@ class TestGenerativeConfigFields:
             raise AssertionError("a sample was drawn before the window check")
 
         monkeypatch.setattr(diffusion, "substream", no_draws)
-        for t_first, horizon, end in ((3, 16, 18), ("auto", 15, 16)):
+        # a single source starts "auto" at 2, so its window ends at 17
+        for t_first, horizon, end in ((3, 16, 18), ("auto", 15, 17)):
             gen = GenerativeConfig(source_count=1, t_first=t_first, horizon=horizon)
             with pytest.raises(ValueError, match=f"window ends at {end} but "
                                                  f"horizon is {horizon}"):
@@ -570,6 +636,41 @@ class TestGenerativeConfigFields:
         assert all(s.x.times.tolist() == list(range(1, 17)) for s in samples)
         with pytest.raises(ValueError, match="window ends at 17 but horizon is 16"):
             sample_dataset(g, replace(gen, source_count=1), 6, seed=2)
+
+    # complete:12 has lambda1 = 11; the default window is 16 instants long
+    @pytest.mark.parametrize("values, latest", [
+        # a single source starts at 2 whatever its rates
+        (dict(source_count=(1, 4), r0=None, sigma_inf=0.2, sigma_rec=0.1), 2),
+        # r0 = 0.2 * 11 / 0.1 = 22, or no r0 at all, keeps 2+ sources fast
+        (dict(source_count=(2, 4), r0=None, sigma_inf=0.2, sigma_rec=0.1), 1),
+        (dict(source_count=(2, 4), r0=None, sigma_inf=0.2, sigma_rec=0.0), 1),
+        # r0 in [11, 33] meets [1, 15]
+        (dict(source_count=(2, 4), r0=None, sigma_inf=(0.2, 0.3),
+              sigma_rec=(0.1, 0.2)), 2),
+        # r0 in [22, inf) misses it, r0 in [11, inf) meets it
+        (dict(source_count=(2, 4), r0=None, sigma_inf=0.2, sigma_rec=(0.0, 0.1)), 1),
+        (dict(source_count=(2, 4), r0=None, sigma_inf=0.2, sigma_rec=(0.0, 0.2)), 2),
+        (dict(source_count=(2, 4), r0=(16.0, 20.0), sigma_rec=0.1), 1),
+        (dict(source_count=(2, 4), r0=(10.0, 20.0), sigma_rec=0.1), 2)])
+    def test_auto_window_of_the_latest_reachable_start(self, monkeypatch, values,
+                                                       latest):
+        g = complete_graph(12)
+        # the latest start is reached, and no sample starts later
+        starts = {int(s.x.times[0])
+                  for s in sample_dataset(g, GenerativeConfig(**values), 100, seed=4)}
+        assert max(starts) == latest
+        gen = GenerativeConfig(horizon=16, **values)
+        if latest == 1:
+            assert all(s.x.times[-1] == 16 for s in sample_dataset(g, gen, 20, seed=4))
+            return
+
+        def no_draws(*args):
+            raise AssertionError("a sample was drawn before the window check")
+
+        monkeypatch.setattr(diffusion, "substream", no_draws)
+        for n_samples in (0, 2, 40):
+            with pytest.raises(ValueError, match="window ends at 17 but horizon is 16"):
+                sample_dataset(g, gen, n_samples, seed=1)
 
     def test_needs_lambda1(self):
         assert GenerativeConfig().needs_lambda1
