@@ -101,6 +101,15 @@ def _check_node_counts(samples, graph, graph_spec: str, data_path: str) -> None:
                 f"graph {graph_spec} has {graph.n_nodes}")
 
 
+def _header_config(header: dict, path: str) -> dict:
+    """The 'config' object of a file's header; {} when it has none."""
+    config = header.get("config", {})
+    if not isinstance(config, dict):
+        raise click.ClickException(
+            f"{path}: header field 'config' must be an object, got {config!r}")
+    return config
+
+
 def _header_field(config: dict, path: str, field: str, kind: type, default=None):
     """config[field] of a file's header, which must be a `kind` (str or int,
     never a bool); `default` when the field is absent and a default is given."""
@@ -148,7 +157,7 @@ def calibrate(data_path, score, alpha, beta, estimator_spec, seed, out_path):
     samples, header = load_dataset(data_path)
     if not samples:
         raise click.ClickException(f"{data_path}: no samples")
-    graph_config = header.get("config", {})
+    graph_config = _header_config(header, data_path)
     graph = _header_graph(graph_config, data_path)
     _check_node_counts(samples, graph, graph_config["graph_spec"], data_path)
     # estimated block by block as calibrate consumes them
@@ -172,7 +181,7 @@ def predict(model_path, data_path, out_path):
     _require_file(model_path)
     _require_file(data_path)
     model, model_header = conformal.load_model(model_path)
-    model_config = model_header.get("config", {})
+    model_config = _header_config(model_header, model_path)
     estimator_spec = _header_field(model_config, model_path, "estimator", str, "heuristic")
     if parse_estimator_spec(estimator_spec)[0] == "file":
         raise click.ClickException(
@@ -200,10 +209,7 @@ def predict(model_path, data_path, out_path):
 def _sets_beta(header: dict, path: str) -> float:
     """The beta of a sets file's header: a number in [0, 1), never a bool,
     as NominalLevels requires."""
-    config = header.get("config", {})
-    if not isinstance(config, dict):
-        raise click.ClickException(
-            f"{path}: header field 'config' must be an object, got {config!r}")
+    config = _header_config(header, path)
     if "beta" not in config:
         raise click.ClickException(f"{path}: header lacks 'beta'")
     beta = config["beta"]
@@ -346,9 +352,10 @@ def sweep(config_path, axis, values, out_dir, timing):
 
 
 @cli.command(name="oracle-check")
-@click.option("--n", "n_nodes", type=int, default=10, show_default=True,
-              help="Graph size for the randomized instances (<= 16).")
-@click.option("--trials", type=int, default=200, show_default=True)
+@click.option("--n", "n_nodes", type=click.IntRange(1, conformal.BRUTEFORCE_MAX_NODES),
+              default=10, show_default=True,
+              help="Graph size for the randomized instances.")
+@click.option("--trials", type=click.IntRange(min=1), default=200, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 def oracle_check(n_nodes, trials, seed):
     """Randomized exact-equivalence checks of the fast prediction rule."""

@@ -3,10 +3,11 @@
 Pipeline: each calibration sample's true source set is shrunk to its
 top-(1-beta) fraction by predicted probability, scored with a monotone
 set score, and the finite-sample (1-alpha)(1+1/n) quantile of those scores
-becomes the prediction threshold. A test set then contains every node whose
-singleton score is within the threshold, which guarantees recall >= 1-beta
-with probability >= 1-alpha whenever calibration and test data are
-exchangeable, regardless of the estimator.
+becomes the prediction threshold. A test set is then the largest upward
+closure whose score is within the threshold: it holds every closure that
+passes, so it holds the shrunken true source set whenever that set's score
+passes. This guarantees recall >= 1-beta with probability >= 1-alpha whenever
+calibration and test data are exchangeable, regardless of the estimator.
 
 The guarantee is that lower bound. The matching upper bound, coverage
 <= 1-alpha+1/(n+1), needs almost-surely distinct calibration scores. Test
@@ -25,10 +26,14 @@ sorted values and row-wise float64 cumulative sums are each built on first
 use, by one row-wise sort and one row-wise sum. A closure holds every value
 >= its threshold, so its smallest value is the threshold itself: 'min'
 reads that value and no sorted view, and risk control reads only source
-thresholds. Calibration, risk control and the experiment loop rank blocks
-of samples and read every source-set decision off them; set_score,
-singleton_scores, prediction and the brute-force oracle rank a one-row
-block. A block's rows are capped so that its prefix sums fit
+thresholds. Test sets are scored on the same view, at every closure size
+that ends a run of tied values, never node by node: a float mean can rise by
+an ulp as a closure grows, so the nodes whose own closure passes need not
+form a closure, while the largest passing closure is the brute-force
+oracle's set in floats. Calibration, risk control and the experiment loop
+rank blocks of samples and read every source-set and test-set decision off
+them; set_score, singleton_scores, prediction and the brute-force oracle
+rank a one-row block. A block's rows are capped so that its prefix sums fit
 `_SCORE_BLOCK_BYTES`. Scores depend only on values, never on how ties are
 ordered (-0.0 is read as 0.0, the one tie whose members differ in bits),
 and every row is summed in sequence in float64, so a row of a block and the
@@ -55,7 +60,7 @@ from sourceset.util import check_node_set, substream, write_jsonl_header, read_j
 SCORE_KINDS = ("pre", "rec", "min")
 
 _CEIL_NUDGE = 1e-9
-_BRUTEFORCE_MAX_NODES = 16
+BRUTEFORCE_MAX_NODES = 16
 # a RankedBlock's prefix sums stay within this many bytes; all of a block's
 # arrays then take about 3 times as much. Larger blocks only save per-block
 # overhead: on a 2-vCPU Xeon, 7600 samples at N = 774 scored 'pre' in 0.10 s
@@ -132,7 +137,8 @@ class ConformalModel:
 
 @dataclass(frozen=True, eq=False)
 class PredictionSet:
-    """Nodes whose singleton score passed the calibrated threshold."""
+    """The nodes of the largest upward closure whose score passed the
+    calibrated threshold."""
 
     nodes: np.ndarray
     threshold_used: float
@@ -186,30 +192,21 @@ def probability_order(probs: np.ndarray) -> np.ndarray:
     return np.argsort(-probs, kind="stable")
 
 
-def _at(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """values[r, index[r]] for every row r of a C-contiguous block, read
-    through one flat index."""
-    rows, width = values.shape
-    return values.reshape(-1)[index + np.arange(0, rows * width, width)[:, None]]
-
-
-def _closure_scores(kind: str, smallest, prefix, closure_size):
+def _closure_scores(kind: str, smallest=None, mass=None, size=None, total=None):
     """Scores of upward closures, from what each score kind reads.
 
     The one implementation of the score formulas. 'min' reads `smallest`,
-    each closure's smallest probability, which is its threshold. 'pre' and
-    'rec' read `prefix`, whose row r holds row r's probabilities summed in
-    descending order after a leading 0, and `closure_size`, one row of
-    closure sizes per prefix row. A kind's caller passes None for what it
-    does not read.
+    each closure's smallest probability, which is its threshold. 'pre' reads
+    `mass`, each closure's probabilities summed in descending order, and
+    `size`, its node count; 'rec' reads `mass` and `total`, the mass of the
+    closure's whole row. A kind's caller passes only what it reads.
     """
     if kind == "pre":
-        return -(_at(prefix, closure_size) / closure_size)
+        return -(mass / size)
     if kind == "rec":
-        total = prefix[:, -1:]
-        if not total.min() > 0.0:
+        if not np.minimum.reduce(total, axis=None) > 0.0:
             raise ValueError("'rec' score needs positive total probability mass")
-        return _at(prefix, closure_size) / total
+        return mass / total
     if kind == "min":
         # -0.0 as 0.0, so no score depends on which zero a threshold is
         return -(smallest + 0.0)
@@ -243,7 +240,7 @@ class RankedBlock:
         rows, n = probs.shape
         _check_range(probs)
         # views built on first use, by the score kinds that read them
-        self._ascending = self._prefix = self._node_sizes = None
+        self._ascending = self._prefix = None
         if sources is None:
             return
         nodes = np.concatenate(sources)
@@ -278,41 +275,51 @@ class RankedBlock:
         """(rows, N + 1) prefix sums, computed on first use."""
         if self._prefix is None:
             self._prefix = np.zeros((self.probs.shape[0], self.probs.shape[1] + 1))
-            np.cumsum(self.ascending[:, ::-1], axis=1, out=self._prefix[:, 1:])
+            np.add.accumulate(self.ascending[:, ::-1], axis=1, out=self._prefix[:, 1:])
         return self._prefix
-
-    @property
-    def node_closure_sizes(self) -> np.ndarray:
-        """(rows, N): the closure size of every node's singleton set,
-        computed on first use.
-
-        A value's closure holds every value from the first of its ties in
-        ascending order on. The sizes are read off along the ascending order
-        and put back to the nodes through a row-wise argsort, whose order
-        among ties is irrelevant because tied nodes share their size.
-        """
-        if self._node_sizes is None:
-            sizes = np.empty(self.probs.shape, dtype=np.int64)
-            for size, order, values in zip(sizes, self.probs.argsort(axis=1),
-                                           self.ascending):
-                size[order] = values.searchsorted(values, side="left")
-            self._node_sizes = np.subtract(self.probs.shape[1], sizes, out=sizes)
-        return self._node_sizes
 
     def threshold_scores(self, kind: str, threshold: np.ndarray) -> np.ndarray:
         """Scores of the closures {v : probs[r, v] >= threshold[r, j]}, for a
         (rows, k) array whose entries are each a value of their row."""
         if kind == "min":
-            return _closure_scores(kind, threshold, None, None)
+            return _closure_scores(kind, smallest=threshold)
         sizes = np.count_nonzero(self.probs[:, None, :] >= threshold[:, :, None], axis=2)
-        return _closure_scores(kind, None, self.prefix, sizes)
+        return self.sized_scores(kind, np.arange(sizes.shape[0])[:, None], sizes)
 
-    def node_scores(self, kind: str) -> np.ndarray:
-        """(rows, N): the score of every node's singleton set, whose closure
-        threshold is the node's own probability."""
+    def sized_scores(self, kind: str, row, size) -> np.ndarray:
+        """'pre' or 'rec' scores of the closures of size[i] nodes of row
+        row[i], for arrays that broadcast together, sizes in 1..N."""
+        prefix = self.prefix
+        return _closure_scores(kind, mass=prefix[row, size], size=size, total=prefix[row, -1])
+
+    def test_set_floors(self, kind: str, q_hats) -> np.ndarray:
+        """(len(q_hats), rows): per threshold q in `q_hats` and row r, the
+        floor f of row r's test set at q, {v : probs[r, v] >= f}: the
+        largest upward closure whose score is <= q (+inf when none is).
+
+        This is the brute-force oracle's set: a node is in it iff some
+        closure containing the node scores <= q. 'min' scores a closure
+        -threshold, which grows as the closure does, so its floor is -q and
+        no row is sorted. 'pre' and 'rec' score each closure along the
+        sorted view, at the first value of each run of ties in ascending
+        order (a closure's threshold), and keep the least passing
+        threshold. 'rec' scores never fall as a closure grows, but a float
+        mean can rise by an ulp, so comparing each node's own closure score
+        with q would drop the top of a 'pre' set whose larger closure passes.
+        """
+        q = np.asarray(q_hats, dtype=np.float64).reshape(-1, 1)
+        rows, n = self.probs.shape
         if kind == "min":
-            return _closure_scores(kind, self.probs, None, None)
-        return _closure_scores(kind, None, self.prefix, self.node_closure_sizes)
+            return (-q).repeat(rows, axis=1)
+        ascending = self.ascending
+        first = np.empty((rows, n), dtype=bool)
+        first[:, 0] = True
+        np.not_equal(ascending[:, 1:], ascending[:, :-1], out=first[:, 1:])
+        # every closure of the block by its threshold, each row's largest first
+        row, start = first.nonzero()
+        passing = self.sized_scores(kind, row, n - start) <= q
+        return np.minimum.reduceat(np.where(passing, ascending[first], np.inf),
+                                   (start == 0).nonzero()[0], axis=1)
 
     def required_hits(self, beta: float) -> np.ndarray:
         """Per row, required_hits(source_counts[r], beta), same float arithmetic."""
@@ -324,12 +331,11 @@ class RankedBlock:
         scalar for every row)."""
         return self._source_desc[self._source_start + keep - 1]
 
-    def included(self, passing: np.ndarray, beta: float) -> np.ndarray:
-        """Per row, whether at least required_hits of the row's sources are
-        True in the (rows, N) mask `passing`."""
-        hits = np.bincount(self.source_rows[passing[self.source_rows, self.source_nodes]],
-                           minlength=self.source_counts.size)
-        return hits >= self.required_hits(beta)
+    def included(self, floors: np.ndarray, beta: float) -> np.ndarray:
+        """Per row, whether the row's set {v : probs[r, v] >= floors[r]}
+        holds at least required_hits of its sources: the set is an upward
+        closure, so it does iff it holds the required_hits-th largest."""
+        return self.source_threshold(self.required_hits(beta)) >= floors
 
     def shrunk_scores(self, kind: str, beta: float) -> np.ndarray:
         """Per row, the score of shrink_set(probs, sources, beta).
@@ -410,13 +416,22 @@ def singleton_scores(kind: str, probs) -> tuple[np.ndarray, np.ndarray]:
     """Scores of every single-node set, evaluated along the canonical order.
 
     Returns (order, scores) where order is probability_order(probs) and
-    scores[j] is the score of {order[j]}, non-decreasing in j. Computed once
-    per probability vector in O(N log N); entries are bit-identical to
-    set_score(kind, probs, [order[j]]).
+    scores[j] is the score of {order[j]}, bit-identical to set_score(kind,
+    probs, [order[j]]). Computed once per probability vector in
+    O(N log N), along the sorted view: the j-th largest value's closure
+    runs through the last of its ties. The scores need not be monotone in
+    j: a 'pre' mean can rise by an ulp as the closure grows, so a set of
+    the nodes whose singleton score passes a threshold need not be a
+    closure, and prediction does not read these.
     """
     block = _ranked_row(probs)
     order = probability_order(block.probs[0])
-    return order, block.node_scores(kind)[0, order]
+    ascending = block.ascending[0]
+    descending = ascending[::-1]
+    if kind == "min":
+        return order, _closure_scores(kind, smallest=descending)
+    sizes = ascending.size - ascending.searchsorted(descending, side="left")
+    return order, block.sized_scores(kind, 0, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +474,16 @@ def calibrate(samples, kind: str, levels: NominalLevels) -> ConformalModel:
 
 
 def predict(model: ConformalModel, probs) -> PredictionSet:
-    """Nodes whose singleton score is within the calibrated threshold.
+    """The largest upward closure whose score is within the calibrated
+    threshold (RankedBlock.test_set_floors), as nodes in index order.
 
-    Each node's score is compared on its own, as in the experiment loop. The
-    singleton scores are non-decreasing as probability falls, so the result
-    is a closure-prefix; an infinite threshold returns all nodes.
+    Any set that holds every passing closure holds this one, and it is
+    the brute-force oracle's set; it may be empty, and an infinite
+    threshold returns all nodes.
     """
-    scores = _ranked_row(probs).node_scores(model.score)[0]
-    return PredictionSet(nodes=(scores <= model.q_hat).nonzero()[0],
+    block = _ranked_row(probs)
+    floor = block.test_set_floors(model.score, model.q_hat)[0, 0]
+    return PredictionSet(nodes=(block.probs[0] >= floor).nonzero()[0],
                          threshold_used=model.q_hat)
 
 
@@ -528,13 +545,13 @@ def bruteforce_prediction_set(probs, q_hat: float, kind: str) -> np.ndarray:
 
     Includes node v iff the minimum score over all 2^N - 1 non-empty subsets
     containing v is <= q_hat. This is exponential and guarded to N <= 16; it
-    exists to cross-check the O(N log N) prefix rule, which must produce the
-    same set for every monotone score.
+    exists to cross-check RankedBlock.test_set_floors, the largest passing
+    closure, which must give the same set for every score kind.
     """
     block = _ranked_row(probs)
     n = block.probs.shape[1]
-    if n > _BRUTEFORCE_MAX_NODES:
-        raise ValueError(f"brute force refuses N > {_BRUTEFORCE_MAX_NODES} nodes")
+    if n > BRUTEFORCE_MAX_NODES:
+        raise ValueError(f"brute force refuses N > {BRUTEFORCE_MAX_NODES} nodes")
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
     masks = np.arange(1, 1 << n, dtype=np.uint32)
@@ -632,13 +649,15 @@ def _random_calibration(rng: np.random.Generator, n_nodes: int, n_samples: int):
 def run_equivalence_checks(n_nodes: int, trials: int, seed: int) -> EquivalenceReport:
     """Randomized cross-checks of the fast prediction rule.
 
-    Per trial: (i) the brute-force subset-enumeration set must equal the
-    prefix-rule set for all score kinds, on both a uniform-random and a
+    Per trial: (i) the brute-force subset-enumeration set must equal
+    predict's set for all score kinds, on both a uniform-random and a
     calibration-derived threshold; (ii) the risk-control pipeline must equal
     the min-score pipeline, with thresholds related by lambda = 1 + q.
     """
-    if n_nodes > _BRUTEFORCE_MAX_NODES:
-        raise ValueError(f"n_nodes must be <= {_BRUTEFORCE_MAX_NODES}")
+    if not 1 <= n_nodes <= BRUTEFORCE_MAX_NODES:
+        raise ValueError(f"n_nodes must be in [1, {BRUTEFORCE_MAX_NODES}], got {n_nodes!r}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials!r}")
     bf_bad = 0
     crc_bad = 0
     max_gap = 0.0

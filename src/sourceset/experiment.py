@@ -177,18 +177,18 @@ def _run_trial(graph: Graph, cfg: ExperimentConfig, estimator, lambda1: float | 
                   np.concatenate(cal_scores[kind, beta]), alpha)
               for kind in kinds for alpha in alphas for beta in betas}
 
-    # a node is in a test set iff its singleton score is <= q_hat, as in predict
+    # a test set is its row's largest closure scoring <= q_hat, as in predict;
+    # each block reads the sets of all of a kind's cells at once
     included = dict.fromkeys(q_hats, 0)
     total_size = dict.fromkeys(q_hats, 0)
     for block in blocks(perm[cfg.n_cal:]):
         for kind in kinds:
-            node_scores = block.node_scores(kind)
-            for alpha in alphas:
-                for beta in betas:
-                    cell = (kind, alpha, beta)
-                    passing = node_scores <= q_hats[cell]
-                    total_size[cell] += int(np.count_nonzero(passing))
-                    included[cell] += int(np.count_nonzero(block.included(passing, beta)))
+            cells = [cell for cell in q_hats if cell[0] == kind]
+            floors = block.test_set_floors(kind, [q_hats[cell] for cell in cells])
+            sizes = np.count_nonzero(block.probs >= floors[:, :, None], axis=(1, 2))
+            for cell, size, floor in zip(cells, sizes, floors):
+                total_size[cell] += int(size)
+                included[cell] += int(np.count_nonzero(block.included(floor, cell[2])))
     return {cell: (included[cell] / cfg.n_test, total_size[cell] / cfg.n_test)
             for cell in q_hats}
 

@@ -286,6 +286,39 @@ class TestExitCodes:
                                            f"must be {expected}, got {value!r}\n")
         assert not model.exists()
 
+    @pytest.mark.parametrize("config", ["graph_spec", ["graph_spec"], 5, None])
+    def test_dataset_header_config_not_an_object_names_file(self, tmp_path, capsys,
+                                                            config):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        assert run(*simulate_args(data, samples=3)) == 0
+        header, *records = data.read_text().splitlines()
+        header = {**json.loads(header), "config": config}
+        data.write_text("\n".join([json.dumps(header), *records]) + "\n")
+        capsys.readouterr()
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.5", "--out", str(model)) == 1
+        assert capsys.readouterr().err == (f"error: {data}: header field 'config' "
+                                           f"must be an object, got {config!r}\n")
+        assert not model.exists()
+
+    @pytest.mark.parametrize("config", [["estimator"], "estimator", 0.5])
+    def test_model_header_config_not_an_object_names_file(self, tmp_path, capsys,
+                                                          config):
+        data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
+        sets = tmp_path / "sets.jsonl"
+        assert run(*simulate_args(data, samples=20)) == 0
+        assert run("calibrate", "--data", str(data), "--score", "rec",
+                   "--alpha", "0.2", "--out", str(model)) == 0
+        header, rec = model.read_text().splitlines()
+        header = {**json.loads(header), "config": config}
+        model.write_text(f"{json.dumps(header)}\n{rec}\n")
+        capsys.readouterr()
+        assert run("predict", "--model", str(model), "--data", str(data),
+                   "--out", str(sets)) == 1
+        assert capsys.readouterr().err == (f"error: {model}: header field 'config' "
+                                           f"must be an object, got {config!r}\n")
+        assert not sets.exists()
+
     def test_evaluate_duplicate_prediction_is_validation_error(self, tmp_path, capsys):
         data, model = tmp_path / "d.jsonl", tmp_path / "m.json"
         sets, report = tmp_path / "sets.jsonl", tmp_path / "eval.csv"
@@ -773,5 +806,14 @@ class TestOracleCheck:
         assert "bruteforce_mismatches=0" in out
         assert "all equivalence checks passed" in out
 
-    def test_rejects_oversized_n(self):
-        assert run("oracle-check", "--n", "20", "--trials", "5", "--seed", "1") == 1
+    @pytest.mark.parametrize("option, value, message", [
+        ("--n", "20", "20 is not in the range 1<=x<=16"),
+        ("--n", "0", "0 is not in the range 1<=x<=16"),
+        ("--trials", "0", "0 is not in the range x>=1"),
+        ("--trials", "-3", "-3 is not in the range x>=1")])
+    def test_rejects_options_out_of_range(self, capsys, option, value, message):
+        options = {"--n": "10", "--trials": "5", "--seed": "1", option: value}
+        assert run("oracle-check", *(t for kv in options.items() for t in kv)) == 1
+        captured = capsys.readouterr()
+        assert f"Invalid value for '{option}': {message}" in captured.err
+        assert "passed" not in captured.out

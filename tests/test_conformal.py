@@ -432,12 +432,27 @@ class TestRankedBlock:
         probs = [0.2, 0.5, 0.5, 0.1]
         block = next(ranked_blocks([(probs, [3, 2, 3])]))
         assert block.ascending.tolist() == [[0.1, 0.2, 0.5, 0.5]]
-        # the tied pair {1, 2} closes together
-        assert block.node_closure_sizes.tolist() == [[3, 2, 2, 4]]
         assert block.source_nodes.tolist() == [2, 3]
         order, scores = singleton_scores("min", probs)
         assert order.tolist() == [1, 2, 0, 3]
         assert scores.tolist() == [-0.5, -0.5, -0.2, -0.1]
+        # the tied pair {1, 2} closes together: nodes 0-3 have closures of
+        # 3, 2, 2 and 4 nodes, read along the order [1, 2, 0, 3]
+        prefix = block.prefix[0]
+        assert prefix.tolist() == [0.0, 0.5, 1.0, 1.2, 1.3]
+        assert singleton_scores("rec", probs)[1].tolist() == \
+            (prefix[[2, 2, 3, 4]] / prefix[4]).tolist()
+        assert singleton_scores("pre", probs)[1].tolist() == \
+            (-(prefix[[2, 2, 3, 4]] / [2, 2, 3, 4])).tolist()
+        # closures of 2, 3 and 4 nodes score -0.5, -0.39999999999999997 and
+        # -0.325; no closure has one node
+        floors = block.test_set_floors("pre", [-0.6, -0.5, -0.45, -0.35, -0.3])
+        assert floors.tolist() == [[math.inf], [0.5], [0.5], [0.2], [0.1]]
+        assert [np.count_nonzero(block.probs >= f) for f in floors] == [0, 2, 2, 3, 4]
+        # at least 1 of the 2 sources at beta = 0.5: node 2 is the larger
+        assert block.included(floors[:, 0], 0.5).tolist() == [False, True, True, True, True]
+        assert block.included(floors[:, 0], 0.0).tolist() == [False, False, False, False,
+                                                               True]
         # the distinct sources sit at positions 1 and 3 of the canonical order
         assert [order.tolist().index(v) for v in block.source_nodes] == [1, 3]
         # beta = 0.5 keeps node 2, whose closure is the tied pair {1, 2}
@@ -460,17 +475,15 @@ class TestRankedBlock:
         # a change of length closes a block
         assert len(blocks) >= len(set(self.LENGTHS))
 
-    def test_node_scores_match_singleton_scores(self):
+    def test_singleton_scores_match_reference_on_ties_and_zeros(self):
         samples = self.samples(22)
         for block in ranked_blocks(samples):
             for kind in SCORE_KINDS:
-                scores = block.node_scores(kind)
-                for probs, row in zip(block.probs, scores):
-                    reference = [reference_set_score(kind, probs, [v])
-                                 for v in range(probs.size)]
-                    assert np.array_equal(bits(row), bits(reference))
+                for probs in block.probs:
                     order, singles = singleton_scores(kind, probs)
-                    assert np.array_equal(bits(row[order]), bits(singles))
+                    assert order.tolist() == np.argsort(-probs, kind="stable").tolist()
+                    reference = [reference_set_score(kind, probs, [v]) for v in order]
+                    assert np.array_equal(bits(singles), bits(reference))
 
     def test_min_reads_threshold_as_sorted_lookup(self):
         """'min' reads each closure's threshold; it equals the sorted-view
@@ -495,9 +508,16 @@ class TestRankedBlock:
                 reference.append(lookup(probs, np.count_nonzero(probs >= threshold)))
             assert np.array_equal(bits(fast), bits(reference))
         for block in ranked_blocks(samples):
-            for probs, row in zip(block.probs, block.node_scores("min")):
-                reference = [lookup(probs, np.count_nonzero(probs >= p)) for p in probs]
-                assert np.array_equal(bits(row), bits(reference))
+            for probs in block.probs:
+                order, singles = singleton_scores("min", probs)
+                reference = np.array([lookup(probs, np.count_nonzero(probs >= probs[v]))
+                                      for v in order])
+                assert np.array_equal(bits(singles), bits(reference))
+                # a 'min' test set holds the nodes whose lookup score passes
+                q_hats = np.concatenate([reference, [-1.5, 1.5, -0.0]])
+                floors = conformal._ranked_row(probs).test_set_floors("min", q_hats)
+                assert [np.count_nonzero(probs >= f) for f in floors[:, 0]] == \
+                    [np.count_nonzero(reference <= q) for q in q_hats]
         # a source at -0.0 as the threshold scores -0.0, as the sorted 0.0 does
         assert bits(set_score("min", rows[0][0], [1])) == bits(-0.0)
 
@@ -679,6 +699,15 @@ class TestBruteforceEquivalence:
         report = run_equivalence_checks(n_nodes=8, trials=150, seed=17)
         assert report.bruteforce_mismatches == 0
 
+    @pytest.mark.parametrize("n_nodes, trials, message", [
+        (0, 5, r"n_nodes must be in \[1, 16\], got 0"),
+        (17, 5, r"n_nodes must be in \[1, 16\], got 17"),
+        (8, 0, "trials must be >= 1, got 0"),
+        (8, -3, "trials must be >= 1, got -3")])
+    def test_checks_refuse_vacuous_or_oversized_runs(self, n_nodes, trials, message):
+        with pytest.raises(ValueError, match=message):
+            run_equivalence_checks(n_nodes=n_nodes, trials=trials, seed=1)
+
     def test_subset_minimum_equals_singleton_closure_score(self):
         # independent enumeration with plain-numpy scoring
         rng = np.random.default_rng(18)
@@ -696,6 +725,94 @@ class TestBruteforceEquivalence:
                     target = direct_score(kind, probs,
                                           upward_closure(probs, [v]).tolist())
                     assert best == pytest.approx(target, abs=1e-12)
+
+
+EPS = np.finfo(np.float64).eps
+# a 'pre' mean that rises by an ulp as the closure grows: the closure of
+# all 7 nodes scores below the closure of the top 3
+ULP_RISE = np.array([1 - EPS] * 3 + [1 - 2 * EPS] * 4)
+
+
+class TestLargestPassingClosure:
+    """A test set is the largest upward closure whose score is <= q_hat:
+    predict and the experiment's per-cell size and inclusion
+    (RankedBlock.test_set_floors and included) give the brute-force oracle's
+    set, on ties, zeros of both signs and ulp-spaced values."""
+
+    def test_pre_singleton_scores_are_not_monotone(self):
+        order, scores = singleton_scores("pre", ULP_RISE)
+        assert order.tolist() == list(range(7))
+        assert not np.all(np.diff(scores) >= 0)
+        assert scores[6] < scores[0]
+
+    def test_pre_set_keeps_the_top_of_a_passing_closure(self):
+        q_hat = set_score("pre", ULP_RISE, [3])
+        # node 0's own closure fails, but the closure of all 7 nodes passes
+        assert set_score("pre", ULP_RISE, [0]) > q_hat
+        assert bruteforce_prediction_set(ULP_RISE, q_hat, "pre").tolist() == list(range(7))
+        model = ConformalModel("pre", NominalLevels(alpha=0.1), q_hat, 10)
+        assert predict(model, ULP_RISE).nodes.tolist() == list(range(7))
+        floors = conformal._ranked_row(ULP_RISE).test_set_floors("pre", [q_hat])
+        assert floors.tolist() == [[1 - 2 * EPS]]
+
+    @staticmethod
+    def vectors(seed, n):
+        """Tie-heavy, signed-zero and ulp-spaced vectors of n nodes, each
+        with positive mass."""
+        rng = np.random.default_rng(seed)
+        out = []
+        for i in range(24):
+            style = i % 3
+            if style == 0:
+                probs = np.round(rng.random(n), int(rng.integers(1, 3)))
+            elif style == 1:
+                probs = rng.choice([0.0, -0.0, 0.25, 0.5], size=n)
+            else:
+                # a few ulps below a power of two or a rounded value
+                base = rng.choice([1.0, 0.5, 0.3, 1e-6])
+                probs = base - rng.integers(0, 4, size=n) * np.spacing(base / 2)
+            probs[rng.random(n) < 0.15] = -0.0
+            if not probs.any():
+                probs[int(rng.integers(n))] = 1.0 - EPS
+            out.append(np.minimum(probs, 1.0))
+        if n == ULP_RISE.size:
+            out.append(ULP_RISE.copy())
+        return out
+
+    @staticmethod
+    def thresholds(kind, probs):
+        """Every closure score of `probs`, the floats next to each, the
+        points between them, and a threshold below and above them all."""
+        scores = np.unique([set_score(kind, probs, [v]) for v in range(probs.size)])
+        return np.concatenate([scores, np.nextafter(scores, -np.inf),
+                               np.nextafter(scores, np.inf), (scores[1:] + scores[:-1]) / 2,
+                               [scores[0] - 1.0, np.inf]])
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 9])
+    def test_predict_and_experiment_sets_match_bruteforce(self, n):
+        rng = np.random.default_rng(40 + n)
+        vectors = self.vectors(30 + n, n)
+        sources = [random_set(rng, n) for _ in vectors]
+        block = conformal.RankedBlock(np.array(vectors), sources)
+        differs = 0
+        for kind in SCORE_KINDS:
+            for r, probs in enumerate(vectors):
+                q_hats = self.thresholds(kind, probs)
+                floors = block.test_set_floors(kind, q_hats)
+                order, singles = singleton_scores(kind, probs)
+                for i, q in enumerate(q_hats):
+                    brute = bruteforce_prediction_set(probs, q, kind)
+                    if math.isfinite(q):
+                        model = ConformalModel(kind, NominalLevels(alpha=0.1), q, 1)
+                        assert predict(model, probs).nodes.tolist() == brute.tolist()
+                    assert np.flatnonzero(probs >= floors[i, r]).tolist() == brute.tolist()
+                    for beta in (0.0, 0.3, 0.5):
+                        assert block.included(floors[i], beta)[r] == \
+                            evaluate_set(brute, sources[r], beta).included
+                    differs += sorted(order[singles <= q]) != brute.tolist()
+        if n == ULP_RISE.size:
+            # comparing singleton scores node by node misses some of these sets
+            assert differs > 0
 
 
 def reference_crc_calibrate(samples, levels):

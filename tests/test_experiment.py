@@ -138,6 +138,50 @@ class TestRunExperiment:
         assert cell.inclusion_rates[0] == np.mean(included)
         assert cell.set_sizes[0] == np.mean(sizes)
 
+    def test_cells_match_bruteforce_sets(self, tmp_path):
+        """Every cell's inclusion and mean size are those of the brute-force
+        oracle's sets, on ties, signed zeros and a 'pre' mean that rises by an
+        ulp as its closure grows (where singleton scores are not monotone)."""
+        eps = np.finfo(np.float64).eps
+        rows = [[1 - eps] * 3 + [1 - 2 * eps] * 4,
+                [0.5, -0.0, 0.25, 0.5, 0.0, 0.25, 1.0],
+                [0.3, 0.3 - eps / 4, 0.3, 0.3 - eps / 2, 0.1, 0.3 - eps / 4, 0.0]]
+        cfg = ExperimentConfig(
+            graph_spec="complete:7",
+            generative=GenerativeConfig(source_count=(1, 3), r0=None,
+                                        sigma_inf=(0.3, 0.6), sigma_rec=(0.1, 0.2),
+                                        n_snapshots=4),
+            alphas=(0.05, 0.3, 0.6, 0.9, 0.95), betas=(0.0, 0.5),
+            estimator=f"file:{tmp_path / 'p.txt'}", n_cal=30, n_test=24, n_trials=2,
+            seed=5)
+        pool = cfg.n_cal + cfg.n_test
+        vectors = {i: np.array(rows[i % len(rows)]) for i in range(pool)}
+        save_prob_vectors(vectors, 7, tmp_path / "p.txt")
+        report = run_experiment(cfg)
+        graph = graph_from_spec(cfg.graph_spec)
+        differs = 0
+        for trial in range(cfg.n_trials):
+            samples = sample_dataset(graph, cfg.generative, pool, cfg.seed,
+                                     seed_path=(0, trial))
+            perm = substream(cfg.seed, 1, trial).permutation(pool)
+            cal = [(vectors[i], samples[i].sources) for i in perm[:cfg.n_cal]]
+            for cell in report.cells:
+                levels = NominalLevels(alpha=cell.alpha, beta=cell.beta)
+                q_hat = calibrate(cal, cell.score, levels).q_hat
+                included, sizes = [], []
+                for i in perm[cfg.n_cal:]:
+                    brute = conformal.bruteforce_prediction_set(vectors[i], q_hat,
+                                                               cell.score)
+                    included.append(evaluate_set(brute, samples[i].sources,
+                                                 cell.beta).included)
+                    sizes.append(brute.size)
+                    order, singles = conformal.singleton_scores(cell.score, vectors[i])
+                    differs += np.count_nonzero(singles <= q_hat) != brute.size
+                assert cell.inclusion_rates[trial] == np.mean(included)
+                assert cell.set_sizes[trial] == np.mean(sizes)
+        # comparing singleton scores node by node misses some of these sets
+        assert differs > 0
+
     @pytest.mark.parametrize("estimator", ["oracle:1.0", "heuristic"])
     def test_cells_independent_of_block_size(self, monkeypatch, estimator):
         """Estimator blocks, which are the ranking blocks, of 1 row, 7 rows or
