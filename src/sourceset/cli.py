@@ -131,14 +131,17 @@ def _header_graph(config: dict, path: str):
                            seed=_header_field(config, path, "graph_seed", int, 0))
 
 
-def _estimates(spec: str, graph, samples, seed: int):
-    """(sample, probability vector) pairs in order, estimated block by block
-    as they are consumed; a sample's estimator stream is substream(seed,
-    sample index). The estimator is built, and its spec checked, at the call."""
+def _ranked_estimates(spec: str, graph, samples, seed: int, with_sources: bool):
+    """(samples, RankedBlock) pairs in order, one per estimator block,
+    estimated and ranked as they are consumed; the block holds each
+    sample's source set when `with_sources`. A sample's estimator stream is
+    substream(seed, sample index). The estimator is built, and its spec
+    checked, at the call."""
     blocks = estimate_blocks(build_estimator(spec, graph), samples,
                              lambda sample: substream(seed, sample.index))
-    return ((s, probs) for block, block_probs in blocks
-            for s, probs in zip(block, block_probs))
+    return ((block, conformal.RankedBlock(
+                probs, [s.sources for s in block] if with_sources else None))
+            for block, probs in blocks)
 
 
 @cli.command()
@@ -160,11 +163,10 @@ def calibrate(data_path, score, alpha, beta, estimator_spec, seed, out_path):
     graph_config = _header_config(header, data_path)
     graph = _header_graph(graph_config, data_path)
     _check_node_counts(samples, graph, graph_config["graph_spec"], data_path)
-    # estimated block by block as calibrate consumes them
-    pairs = ((probs, s.sources)
-             for s, probs in _estimates(estimator_spec, graph, samples, seed))
     levels = NominalLevels(alpha=alpha, beta=beta)
-    model = conformal.calibrate(pairs, score, levels)
+    # estimated and ranked block by block as calibration consumes them
+    blocks = _ranked_estimates(estimator_spec, graph, samples, seed, with_sources=True)
+    model = conformal.calibrate_blocks((ranked for _, ranked in blocks), score, levels)
     config = {"estimator": estimator_spec, "estimator_seed": seed,
               "data": str(data_path), **graph_config}
     conformal.save_model(model, out_path, seed=seed, config=config)
@@ -192,17 +194,20 @@ def predict(model_path, data_path, out_path):
     graph = _header_graph(model_config, model_path)
     _check_node_counts(samples, graph, model_config["graph_spec"], data_path)
     est_seed = _header_field(model_config, model_path, "estimator_seed", int, 0)
-    estimates = _estimates(estimator_spec, graph, samples, est_seed)
+    blocks = _ranked_estimates(estimator_spec, graph, samples, est_seed, with_sources=False)
     config = {"model": str(model_path), "data": str(data_path),
               "score": model.score, "alpha": model.levels.alpha,
-              "beta": model.levels.beta, **model_config}
+              "beta": model.levels.beta, "model_config": model_config}
     with open(out_path, "w", encoding="utf-8") as fh:
         write_jsonl_header(fh, "predictions", est_seed, config)
-        for s, probs in estimates:
-            pset = conformal.predict(model, probs)
-            rec = {"record": "prediction", "index": s.index,
-                   "size": pset.size, "nodes": pset.nodes.tolist()}
-            fh.write(json.dumps(rec) + "\n")
+        # each row's set is the one conformal.predict gives its vector
+        for block, ranked in blocks:
+            floors = ranked.test_set_floors(model.score, model.q_hat)[0]
+            for s, probs, floor in zip(block, ranked.probs, floors):
+                nodes = (probs >= floor).nonzero()[0]
+                rec = {"record": "prediction", "index": s.index,
+                       "size": nodes.size, "nodes": nodes.tolist()}
+                fh.write(json.dumps(rec) + "\n")
     click.echo(f"wrote {len(samples)} prediction sets to {out_path}")
 
 

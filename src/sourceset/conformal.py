@@ -30,16 +30,17 @@ thresholds. Test sets are scored on the same view, at every closure size
 that ends a run of tied values, never node by node: a float mean can rise by
 an ulp as a closure grows, so the nodes whose own closure passes need not
 form a closure, while the largest passing closure is the brute-force
-oracle's set in floats. Calibration, risk control and the experiment loop
-rank blocks of samples and read every source-set and test-set decision off
-them; set_score, singleton_scores, prediction and the brute-force oracle
-rank a one-row block. A block's rows are capped so that its prefix sums fit
-`_SCORE_BLOCK_BYTES`. Scores depend only on values, never on how ties are
-ordered (-0.0 is read as 0.0, the one tie whose members differ in bits),
-and every row is summed in sequence in float64, so a row of a block and the
-same vector ranked alone give bit-identical scores on every platform,
-threshold comparisons see identical rounding on both sides, and a row
-total's relative error is at most (N - 1) * eps.
+oracle's set in floats. Calibration, risk control, the experiment loop and
+the CLI's calibrate and predict rank blocks of samples and read every
+source-set and test-set decision off them; set_score, singleton_scores,
+library predict and the brute-force oracle rank a one-row block. A block's
+rows are capped so that its prefix sums fit `_SCORE_BLOCK_BYTES`. Scores
+depend only on values, never on how ties are ordered (-0.0 is read as 0.0,
+the one tie whose members differ in bits), and every row is summed in
+sequence in float64, so a row of a block and the same vector ranked alone
+give bit-identical scores on every platform, threshold comparisons see
+identical rounding on both sides, and a row total's relative error is at
+most (N - 1) * eps.
 `shrink_set`, `upward_closure` and `probability_order` stay value-based, as
 the reference the block is tested against. Rank arithmetic like
 ceil((1-alpha)(n+1)) is computed with a small nudge so float products that
@@ -63,13 +64,18 @@ _CEIL_NUDGE = 1e-9
 BRUTEFORCE_MAX_NODES = 16
 # a RankedBlock's prefix sums stay within this many bytes; all of a block's
 # arrays then take about 3 times as much. Larger blocks only save per-block
-# overhead: on a 2-vCPU Xeon, 7600 samples at N = 774 scored 'pre' in 0.10 s
-# with 1 MiB against 0.13 s with 64 KiB, but the scoring loop's peak of
-# traced memory grew from 1.3 MB to 3.2 MB. block_rows also caps the blocks
-# of estimators.estimate_blocks, whose heuristic temporaries grow with the
-# block: over 3 desk trials (ba:200,3, 700 samples each) peak RSS was
-# 43.0-43.2 MB at these 40-row blocks, against 43.4-43.5 MB at 16 rows.
-_SCORE_BLOCK_BYTES = 1 << 16
+# overhead. On a 2-vCPU Xeon (medians of 8 interleaved in-process rounds),
+# 64 / 128 / 256 KiB scored 7600 samples at N = 774 in 99 / 91 / 84 ms
+# ('pre'), 104 / 88 / 84 ms ('rec') and 44 / 31 / 28 ms ('min'), and ran
+# crc_calibrate in 43 / 31 / 27 ms; 500 samples at N = 200 took 2.7 / 2.5 /
+# 2.8 ms ('pre'), so 256 KiB is slower there. block_rows also caps the
+# blocks of estimators.estimate_blocks, and so the experiment's and the
+# CLI's ranked blocks. Peak RSS over 3 desk trials (ba:200,3, 700 samples
+# each) was 42.4-42.5 MB at these 81-row blocks against 41.8-42.0 MB at 40
+# rows; it was 43.4-43.7 MB at 81 rows when the heuristic counted every
+# node's susceptible neighbours, where it now reads only the CSR lists of
+# the nodes infected at first sight.
+_SCORE_BLOCK_BYTES = 1 << 17
 
 
 def stable_ceil(x: float) -> int:
@@ -463,9 +469,17 @@ def calibrate(samples, kind: str, levels: NominalLevels) -> ConformalModel:
     <= comparisons are reproducible. `samples` may be any iterable; it is
     consumed and scored block by block (see ranked_blocks).
     """
+    return calibrate_blocks(ranked_blocks(samples), kind, levels)
+
+
+def calibrate_blocks(blocks, kind: str, levels: NominalLevels) -> ConformalModel:
+    """`calibrate` on an iterable of RankedBlocks with source sets, one
+    calibration sample per row, consumed block by block. A caller that holds
+    its vectors as blocks already, as the CLI does with an estimator's, ranks
+    them as they are; the scores do not depend on how rows are blocked."""
     if kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {kind!r}")
-    scores = [block.shrunk_scores(kind, levels.beta) for block in ranked_blocks(samples)]
+    scores = [block.shrunk_scores(kind, levels.beta) for block in blocks]
     if not scores:
         raise ValueError("need at least one calibration sample")
     scores = np.concatenate(scores)

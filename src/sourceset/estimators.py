@@ -9,10 +9,13 @@ every entry strictly positive, which keeps all score variants finite.
 `build_estimator` parses a spec into an `Estimator`, whose `batch` scores a
 block of samples; `estimate_blocks` feeds it a sequence block by block. Its
 blocks follow the ranking rule, `conformal.block_rows`, so the experiment
-ranks each estimator block as it is, with no pool-wide list of rows. The
-heuristic's batch is `estimate_heuristic_batch` over the block's stacked
-time-major (rows, m, n_nodes) snapshots, and `estimate_heuristic` is its
-batch of one, so a block row and the per-sample vector are the same bits.
+and the CLI's calibrate and predict rank each estimator block as it is,
+with no list of per-sample rows. The heuristic's batch is
+`estimate_heuristic_batch` over the block's stacked time-major (rows, m,
+n_nodes) snapshots, and `estimate_heuristic` is its batch of one, so a
+block row and the per-sample vector are the same bits. Its working memory
+follows the nodes infected in each row's first snapshot, not the graph's
+arcs times the rows, which is what lets a block hold more rows.
 The other estimators score row by row. `batch` is given a function
 `rng_of(sample)` rather than the rngs themselves: "oracle:" and "mc:" call
 it once per row, and "heuristic" and "file:" draw nothing and never call it.
@@ -70,6 +73,11 @@ def estimate_heuristic_batch(statuses: np.ndarray, graph: Graph) -> np.ndarray:
     neighbor_deficit(v) = fraction of v's neighbors still susceptible in the
     first snapshot, for nodes infected there (degree-0 infected nodes get 1).
     Nodes never seen infected get the probability floor.
+
+    Only the (row, node) pairs that are not S in the first snapshot read a
+    neighbor count, so one prefix sum runs over the CSR lists of those
+    nodes alone. Its temporaries take about 30 bytes per arc of those nodes,
+    not 8 bytes per arc of the graph per row.
     """
     rows, m, n = statuses.shape
     if n != graph.n_nodes:
@@ -80,13 +88,19 @@ def estimate_heuristic_batch(statuses: np.ndarray, graph: Graph) -> np.ndarray:
     earliness = np.where(seen, (HEURISTIC_DECAY ** np.arange(m))[first_col], 0.0)
 
     first = statuses[:, 0]
-    # susceptible neighbors per node: one row-wise prefix sum over the CSR lists
-    prefix = np.zeros((rows, graph.indices.size + 1), dtype=np.int64)
-    np.cumsum(first[:, graph.indices] == SUSCEPTIBLE, axis=1, out=prefix[:, 1:])
-    susceptible_nbrs = prefix[:, graph.indptr[1:]] - prefix[:, graph.indptr[:-1]]
-    degrees = graph.degrees
-    deficit = np.where(degrees > 0, susceptible_nbrs / np.maximum(degrees, 1), 1.0)
-    deficit[first == SUSCEPTIBLE] = 0.0
+    # the CSR lists of the (row, node) pairs infected at first sight, one
+    # after another: pair i's arcs are arcs[end[i] - degree[i]:end[i]]
+    row, node = (first != SUSCEPTIBLE).nonzero()
+    degree = graph.degrees[node]
+    end = np.cumsum(degree)
+    arcs = np.repeat(graph.indptr[node] - (end - degree), degree)
+    arcs += np.arange(arcs.size)
+    prefix = np.zeros(arcs.size + 1, dtype=np.int64)
+    np.cumsum(first[np.repeat(row, degree), graph.indices[arcs]] == SUSCEPTIBLE,
+              out=prefix[1:])
+    deficit = np.zeros((rows, n))
+    deficit[row, node] = np.where(degree > 0, (prefix[end] - prefix[end - degree])
+                                  / np.maximum(degree, 1), 1.0)
 
     probs = np.clip(HEURISTIC_EARLINESS_WEIGHT * earliness
                     + HEURISTIC_NEIGHBOR_WEIGHT * deficit, 0.0, 1.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sourceset import cli as cli_module
+from sourceset import conformal
 from sourceset.cli import main
 from sourceset.conformal import NominalLevels, calibrate, evaluate_set
 from sourceset.conformal import predict as conformal_predict
@@ -595,12 +596,85 @@ class TestPipeline:
         assert cli_rate == np.mean(included)
         assert cli_size == np.mean(sizes)
 
+    def test_sets_header_names_the_predicted_data(self, tmp_path):
+        """The sets header's data is --data; the model's own provenance, with
+        its calibration file, sits under model_config. The records are
+        library predict's sets of the predicted samples."""
+        data, test, model, sets, _ = self.build_artifacts(tmp_path)
+        header, *records = read_jsonl(sets)
+        model_header = next(read_jsonl(model))
+        assert header["config"]["data"] == str(test)
+        assert header["config"]["model"] == str(model)
+        assert header["config"]["model_config"] == model_header["config"]
+        assert model_header["config"]["data"] == str(data)
+        estimator = build_estimator("oracle:0.3", graph_from_spec("complete:20"))
+        lib_model = conformal.load_model(model)[0]
+        samples, _ = load_dataset(test)
+        assert [r["index"] for r in records] == [s.index for s in samples]
+        for rec, s in zip(records, samples):
+            pset = conformal_predict(lib_model, estimator(s, substream(9, s.index)))
+            assert (rec["size"], rec["nodes"]) == (pset.size, pset.nodes.tolist())
+
     def test_prediction_reruns_byte_identical(self, tmp_path):
         data, test, model, sets, _ = self.build_artifacts(tmp_path)
         again = tmp_path / "sets2.jsonl"
         assert run("predict", "--model", str(model), "--data", str(test),
                    "--out", str(again)) == 0
         assert sets.read_bytes() == again.read_bytes()
+
+
+def mixed_window_dataset(tmp_path):
+    """A dataset whose window length changes partway through the file: 30
+    samples of 4 snapshots, then 25 of 3, numbered on after the first 30."""
+    first, second, data = (tmp_path / name for name in
+                           ("long.jsonl", "short.jsonl", "mixed.jsonl"))
+    assert run(*simulate_args(first, seed=5, samples=30)) == 0
+    short = list(simulate_args(second, seed=6, samples=25))
+    short[short.index("--snapshots") + 1] = "3"
+    assert run(*short) == 0
+    header, *records = first.read_text().splitlines()
+    for line in second.read_text().splitlines()[1:]:
+        rec = json.loads(line)
+        records.append(json.dumps({**rec, "index": rec["index"] + 30}))
+    data.write_text("\n".join([header, *records]) + "\n")
+    return data
+
+
+class TestBlockPath:
+    """calibrate and predict rank whole estimator blocks: the block size
+    changes no byte of their files, and every set is library predict's."""
+
+    @pytest.mark.parametrize("spec", ["heuristic", "oracle:0.5"])
+    def test_block_size_changes_no_byte(self, tmp_path, monkeypatch, spec):
+        data = mixed_window_dataset(tmp_path)
+        samples, _ = load_dataset(data)
+        assert [s.x.n_snapshots for s in samples] == [4] * 30 + [3] * 25
+        model, sets = tmp_path / "model.json", tmp_path / "sets.jsonl"
+        estimator = build_estimator(spec, graph_from_spec("complete:20"))
+        probs = [estimator(s, substream(5, s.index)) for s in samples]
+        levels = NominalLevels(alpha=0.1, beta=0.3)
+        for kind in conformal.SCORE_KINDS:
+            written = []
+            for rows in (None, 1, 7):
+                if rows is not None:
+                    monkeypatch.setattr(conformal, "_SCORE_BLOCK_BYTES", rows * 8 * 20)
+                    assert conformal.block_rows(20) == rows
+                assert run("calibrate", "--data", str(data), "--score", kind,
+                           "--alpha", "0.1", "--beta", "0.3", "--estimator", spec,
+                           "--seed", "5", "--out", str(model)) == 0
+                assert run("predict", "--model", str(model), "--data", str(data),
+                           "--out", str(sets)) == 0
+                written.append((model.read_bytes(), sets.read_bytes()))
+            monkeypatch.undo()
+            assert written[1] == written[0] and written[2] == written[0]
+            library = calibrate(zip(probs, (s.sources for s in samples)), kind, levels)
+            assert conformal.load_model(model)[0] == library
+            records = [r for r in read_jsonl(sets) if r["record"] == "prediction"]
+            assert [r["index"] for r in records] == [s.index for s in samples]
+            for rec, p in zip(records, probs):
+                expected = conformal_predict(library, p)
+                assert rec["nodes"] == expected.nodes.tolist()
+                assert rec["size"] == expected.size
 
 
 class TestEstimatorSubstreams:

@@ -169,6 +169,28 @@ class TestHeuristic:
         with pytest.raises(ValueError, match="cover 5 nodes, graph has 6"):
             estimate_heuristic_batch(np.zeros((2, 3, 5), dtype=np.int8), path_graph(6))
 
+    def test_block_memory_follows_first_sight_infections(self):
+        """Only nodes infected in the first snapshot read their susceptible
+        neighbours, so a dense graph's arcs are not held once per row: on
+        complete:300 (89,700 arcs) that would trace rows * arcs * 8 bytes,
+        about 700 times the block's own (rows, N) float64 output."""
+        g = complete_graph(300)
+        rows = block_rows(300)
+        rng = np.random.default_rng(0)
+        # two nodes per row infected at first sight, the others later or never
+        first_seen = rng.integers(1, 32, size=(rows, 300))
+        first_seen[np.arange(rows)[:, None], rng.choice(300, size=2, replace=False)] = 0
+        statuses = np.where(np.arange(16)[:, None] >= first_seen[:, None, :],
+                            INFECTED, SUSCEPTIBLE).astype(np.int8)
+        tracemalloc.start()
+        try:
+            probs = estimate_heuristic_batch(statuses, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (rows, 300)
+        assert peak < 16 * rows * 300 * 8
+
     def test_output_contract_fuzz(self):
         g = barabasi_albert_graph(30, 2, seed=5)
         rng = np.random.default_rng(0)

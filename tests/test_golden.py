@@ -1,7 +1,9 @@
 """Golden SHA-256 digests of fixed-seed result files.
 
-The files are the desk-scale experiment reports and the 15 files of the two
-CLI chains that CI runs. A change that alters any of their bytes is either a
+The files are the desk-scale experiment reports, the 15 files of the two
+CLI chains that CI runs, and the model and evaluation files of CI's
+mixed-window chain, which fix its threshold and the size, recall and
+inclusion of every set. A change that alters any of their bytes is either a
 deliberate, documented change of the results contract, which updates the
 digests in the same change, or a defect.
 
@@ -16,6 +18,7 @@ checks the console-script chain against it with `sha256sum -c`.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 from sourceset.cli import main
@@ -105,6 +108,34 @@ def write_cli_chains(root: Path, monkeypatch) -> None:
     chain("file:graph.edges", "0.3", "min")
 
 
+def write_mixed_chain(root: Path, monkeypatch) -> None:
+    """The mixed-window chain of CI's byte-determinism step: two window
+    lengths in one dataset, so calibrate and predict split their blocks
+    where the length changes."""
+    monkeypatch.chdir(root)
+    sim = ["simulate", "--graph", "complete:20", "--sigma-inf", "0.25",
+           "--sigma-rec", "0.1", "--sources", "1,3"]
+    for argv in ([*sim, "--samples", "120", "--snapshots", "16", "--seed", "11",
+                  "--out", "long.jsonl"],
+                 [*sim, "--samples", "80", "--snapshots", "6", "--seed", "12",
+                  "--out", "short.jsonl"]):
+        assert main(argv) == 0, argv
+    lines = Path("long.jsonl").read_text().splitlines()
+    offset = len(lines) - 1
+    for line in Path("short.jsonl").read_text().splitlines()[1:]:
+        rec = json.loads(line)
+        lines.append(json.dumps({**rec, "index": rec["index"] + offset}))
+    Path("mixed.jsonl").write_text("\n".join(lines) + "\n")
+    for argv in (["calibrate", "--data", "mixed.jsonl", "--score", "pre",
+                  "--alpha", "0.1", "--beta", "0.3", "--estimator", "heuristic",
+                  "--out", "model.json"],
+                 ["predict", "--model", "model.json", "--data", "mixed.jsonl",
+                  "--out", "sets.jsonl"],
+                 ["evaluate", "--sets", "sets.jsonl", "--data", "mixed.jsonl",
+                  "--out", "eval.csv"]):
+        assert main(argv) == 0, argv
+
+
 class TestGoldenDigests:
     def test_desk_reports(self, tmp_path):
         expected = recorded("desk_reports.sha256")
@@ -116,3 +147,9 @@ class TestGoldenDigests:
         write_cli_chains(tmp_path, monkeypatch)
         assert len(expected) == 15
         assert computed(tmp_path) == expected
+
+    def test_mixed_window_chain(self, tmp_path, monkeypatch):
+        expected = recorded("cli_mixed.sha256")
+        write_mixed_chain(tmp_path, monkeypatch)
+        assert {name: digest for name, digest in computed(tmp_path).items()
+                if name in expected} == expected
