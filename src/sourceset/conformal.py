@@ -22,25 +22,28 @@ Score variants (all computed on the upward closure of the argument set):
 
 Numerical contract: the score formulas exist once (`_closure_scores`) and
 read one ranked view, `RankedBlock`: a block of equal-length rows whose
-sorted values and row-wise float64 cumulative sums are each built on first
-use, by one row-wise sort and one row-wise sum. A closure holds every value
->= its threshold, so its smallest value is the threshold itself: 'min'
-reads that value and no sorted view, and risk control reads only source
-thresholds. Test sets are scored on the same view, at every closure size
-that ends a run of tied values, never node by node: a float mean can rise by
-an ulp as a closure grows, so the nodes whose own closure passes need not
-form a closure, while the largest passing closure is the brute-force
-oracle's set in floats. Calibration, risk control, the experiment loop and
-the CLI's calibrate and predict rank blocks of samples and read every
-source-set and test-set decision off them; set_score, singleton_scores,
-library predict and the brute-force oracle rank a one-row block. A block's
-rows are capped so that its prefix sums fit `_SCORE_BLOCK_BYTES`. Scores
-depend only on values, never on how ties are ordered (-0.0 is read as 0.0,
-the one tie whose members differ in bits), and every row is summed in
-sequence in float64, so a row of a block and the same vector ranked alone
-give bit-identical scores on every platform, threshold comparisons see
-identical rounding on both sides, and a row total's relative error is at
-most (N - 1) * eps.
+ascending values and float64 suffix sums, aligned to them, are built
+together on first use, by one row-wise sort and one row-wise sum from each
+row's largest value down. A closure holds every value >= its threshold, so
+its smallest value is the threshold itself: 'min' reads that value and no
+sorted view, and risk control reads only source thresholds. Test sets are
+read off the same view flattened, by one rule (`_test_set_floors`): every
+closure of every row is found by the flat position of its threshold, the
+first value of a run of ties, and scored from the suffix sum there, never
+node by node: a float mean can rise by an ulp as a closure grows, so the
+nodes whose own closure passes need not form a closure, while the largest
+passing closure is the brute-force oracle's set in floats. Calibration,
+risk control, the experiment loop and the CLI's calibrate and predict rank
+blocks of samples and read every source-set and test-set decision off them;
+set_score, singleton_scores and the brute-force oracle rank a one-row
+block, and library predict sorts its one vector into the same view with no
+block built. A block's rows are capped so that its suffix sums fit
+`_SCORE_BLOCK_BYTES`. Scores depend only on values, never on how ties are
+ordered (-0.0 is read as 0.0, the one tie whose members differ in bits),
+and every row is summed in sequence in float64, so a row of a block and the
+same vector ranked alone give bit-identical scores on every platform,
+threshold comparisons see identical rounding on both sides, and a row
+total's relative error is at most (N - 1) * eps.
 `shrink_set`, `upward_closure` and `probability_order` stay value-based, as
 the reference the block is tested against. Rank arithmetic like
 ceil((1-alpha)(n+1)) is computed with a small nudge so float products that
@@ -62,19 +65,20 @@ SCORE_KINDS = ("pre", "rec", "min")
 
 _CEIL_NUDGE = 1e-9
 BRUTEFORCE_MAX_NODES = 16
-# a RankedBlock's prefix sums stay within this many bytes; all of a block's
-# arrays then take about 3 times as much. Larger blocks only save per-block
-# overhead. On a 2-vCPU Xeon (medians of 8 interleaved in-process rounds),
-# 64 / 128 / 256 KiB scored 7600 samples at N = 774 in 99 / 91 / 84 ms
-# ('pre'), 104 / 88 / 84 ms ('rec') and 44 / 31 / 28 ms ('min'), and ran
-# crc_calibrate in 43 / 31 / 27 ms; 500 samples at N = 200 took 2.7 / 2.5 /
-# 2.8 ms ('pre'), so 256 KiB is slower there. block_rows also caps the
-# blocks of estimators.estimate_blocks, and so the experiment's and the
-# CLI's ranked blocks. Peak RSS over 3 desk trials (ba:200,3, 700 samples
-# each) was 42.4-42.5 MB at these 81-row blocks against 41.8-42.0 MB at 40
-# rows; it was 43.4-43.7 MB at 81 rows when the heuristic counted every
-# node's susceptible neighbours, where it now reads only the CSR lists of
-# the nodes infected at first sight.
+# a RankedBlock's (rows, N) suffix sums stay within this many bytes; all of
+# a block's arrays then take about 3 times as much. Larger blocks only save
+# per-block overhead. On a 2-vCPU Xeon (medians of 8 interleaved in-process
+# rounds, timed when blocks held (rows, N + 1) prefix sums in place of the
+# suffix sums, at the same rows per block), 64 / 128 / 256 KiB scored 7600
+# samples at N = 774 in 99 / 91 / 84 ms ('pre'), 104 / 88 / 84 ms ('rec')
+# and 44 / 31 / 28 ms ('min'), and ran crc_calibrate in 43 / 31 / 27 ms; 500
+# samples at N = 200 took 2.7 / 2.5 / 2.8 ms ('pre'), so 256 KiB is slower
+# there. block_rows also caps the blocks of estimators.estimate_blocks, and
+# so the experiment's and the CLI's ranked blocks. Peak RSS over 3 desk
+# trials (ba:200,3, 700 samples each) was 42.4-42.5 MB at these 81-row
+# blocks against 41.8-42.0 MB at 40 rows; it was 43.4-43.7 MB at 81 rows
+# when the heuristic counted every node's susceptible neighbours, where it
+# now reads only the CSR lists of the nodes infected at first sight.
 _SCORE_BLOCK_BYTES = 1 << 17
 
 
@@ -97,6 +101,15 @@ def required_hits(set_size: int, beta: float) -> int:
     return max(1, stable_ceil((1.0 - beta) * set_size))
 
 
+def _check_alpha(alpha) -> None:
+    """Refuse an alpha that is not a number in (0, 1): a bool, NaN or a
+    value outside that range."""
+    if not isinstance(alpha, numbers.Real) or isinstance(alpha, bool):
+        raise ValueError(f"alpha must be a number, got {alpha!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class NominalLevels:
     """User-specified miscoverage budget (alpha) and recall slack (beta).
@@ -109,11 +122,9 @@ class NominalLevels:
     beta: float = 0.0
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
+        if not isinstance(self.beta, numbers.Real) or isinstance(self.beta, bool):
+            raise ValueError(f"beta must be a number, got {self.beta!r}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
 
@@ -205,7 +216,8 @@ def _closure_scores(kind: str, smallest=None, mass=None, size=None, total=None):
     each closure's smallest probability, which is its threshold. 'pre' reads
     `mass`, each closure's probabilities summed in descending order, and
     `size`, its node count; 'rec' reads `mass` and `total`, the mass of the
-    closure's whole row. A kind's caller passes only what it reads.
+    closure's whole row. Each kind reads only those; a caller may pass
+    more, as one that scores 'pre' and 'rec' alike does.
     """
     if kind == "pre":
         return -(mass / size)
@@ -219,18 +231,64 @@ def _closure_scores(kind: str, smallest=None, mass=None, size=None, total=None):
     raise ValueError(f"unknown score kind {kind!r}")
 
 
+def _sorted_view(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's values in ascending order, -0.0 as 0.0, and their suffix
+    sums, for a 1-D or 2-D array: suffix[..., j] is the sum of
+    ascending[..., j:], accumulated one value after another from the largest
+    down, so suffix[..., 0] is the row's total and a row sums alike in any
+    block."""
+    ascending = probs + 0.0
+    ascending.sort(axis=-1)
+    suffix = np.empty_like(ascending)
+    np.add.accumulate(ascending[..., ::-1], axis=-1, out=suffix[..., ::-1])
+    return ascending, suffix
+
+
+def _test_set_floors(kind: str, q_hats, rows: int, sorted_view) -> np.ndarray:
+    """The one rule for test sets: (len(q_hats), rows) floors, each that of
+    the largest upward closure of its row whose score is <= its threshold
+    (+inf when none is); see RankedBlock.test_set_floors.
+
+    `sorted_view()` returns the rows' ascending values and suffix sums, as
+    `_sorted_view` builds them, which 'min' does not read. Both are read
+    raveled, row after row. Every closure is found by the flat position
+    `at` of its threshold, the first value of a run of ties: it sits at
+    `at - at // N * N` in its row, holds N - that many nodes and sums to
+    suffix.flat[at].
+    """
+    q = np.asarray(q_hats, dtype=np.float64).reshape(-1, 1)
+    if kind == "min":
+        return (-q).repeat(rows, axis=1)
+    ascending, suffix = sorted_view()
+    n = ascending.shape[-1]
+    ascending, suffix = ascending.ravel(), suffix.ravel()
+    first = np.empty(ascending.size, dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=first[1:])
+    first[::n] = True
+    # each row's closures, its largest first; numpy divides by a scalar far
+    # faster than it takes a remainder
+    at = first.nonzero()[0]
+    start = at - at // n * n
+    passing = _closure_scores(kind, mass=suffix[at], size=n - start,
+                              total=suffix[at - start]) <= q
+    return np.minimum.reduceat(np.where(passing, ascending[at], np.inf),
+                               (start == 0).nonzero()[0], axis=1)
+
+
 class RankedBlock:
     """Rows of one length N, optionally each with its source set, ranked together.
 
     A closure holds every probability of its row that is >= its threshold,
     so its smallest value is that threshold and its mass the sum of its
     size largest values. 'min' reads the threshold and needs no ranking.
-    For 'pre' and 'rec', one row-wise sort and one row-wise float64 prefix
-    sum, each built on first use, serve every row: prefix[r, k] is the sum
-    of the k largest probabilities of row r, accumulated in sequence, so a
-    row total's relative error is at most (N - 1) * eps and a row's values
-    and sums are the same bit for bit in any block. Scores need only
-    values, never positions.
+    For 'pre' and 'rec', one row-wise sort and one row-wise float64 sum,
+    built together on first use, serve every row: `ascending` holds each
+    row's values in ascending order and `suffix`, aligned to it, the sum of
+    each value and all larger ones of its row, accumulated in sequence from
+    the largest down. So a closure whose threshold sits at position j holds
+    N - j nodes and sums to suffix[r, j], a row total's relative error is at
+    most (N - 1) * eps, and a row's values and sums are the same bit for bit
+    in any block. Scores need only values, never positions.
 
     Built from a (rows, N) float64 array, which the block only reads and
     checks to lie in [0, 1], and, for its source-set methods, one int64
@@ -246,9 +304,11 @@ class RankedBlock:
         rows, n = probs.shape
         _check_range(probs)
         # views built on first use, by the score kinds that read them
-        self._ascending = self._prefix = None
+        self._ascending = self._suffix = None
         if sources is None:
             return
+        if len(sources) != rows:
+            raise ValueError(f"{len(sources)} source sets for {rows} probability rows")
         nodes = np.concatenate(sources)
         # before the keys are packed, so no id can alias a node of another row
         if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
@@ -270,19 +330,18 @@ class RankedBlock:
     @property
     def ascending(self) -> np.ndarray:
         """(rows, N): each row's probabilities in ascending order, -0.0 as
-        0.0, sorted on first use."""
+        0.0, sorted on first use, when `suffix` is summed too."""
         if self._ascending is None:
-            self._ascending = self.probs + 0.0
-            self._ascending.sort(axis=1)
+            self._ascending, self._suffix = _sorted_view(self.probs)
         return self._ascending
 
     @property
-    def prefix(self) -> np.ndarray:
-        """(rows, N + 1) prefix sums, computed on first use."""
-        if self._prefix is None:
-            self._prefix = np.zeros((self.probs.shape[0], self.probs.shape[1] + 1))
-            np.add.accumulate(self.ascending[:, ::-1], axis=1, out=self._prefix[:, 1:])
-        return self._prefix
+    def suffix(self) -> np.ndarray:
+        """(rows, N): suffix[r, j] is the sum of ascending[r, j:], from the
+        largest value down, so suffix[r, 0] is row r's total."""
+        if self._suffix is None:
+            self.ascending  # builds both views
+        return self._suffix
 
     def threshold_scores(self, kind: str, threshold: np.ndarray) -> np.ndarray:
         """Scores of the closures {v : probs[r, v] >= threshold[r, j]}, for a
@@ -295,8 +354,9 @@ class RankedBlock:
     def sized_scores(self, kind: str, row, size) -> np.ndarray:
         """'pre' or 'rec' scores of the closures of size[i] nodes of row
         row[i], for arrays that broadcast together, sizes in 1..N."""
-        prefix = self.prefix
-        return _closure_scores(kind, mass=prefix[row, size], size=size, total=prefix[row, -1])
+        suffix = self.suffix
+        return _closure_scores(kind, mass=suffix[row, suffix.shape[1] - size], size=size,
+                               total=suffix[row, 0])
 
     def test_set_floors(self, kind: str, q_hats) -> np.ndarray:
         """(len(q_hats), rows): per threshold q in `q_hats` and row r, the
@@ -313,19 +373,8 @@ class RankedBlock:
         mean can rise by an ulp, so comparing each node's own closure score
         with q would drop the top of a 'pre' set whose larger closure passes.
         """
-        q = np.asarray(q_hats, dtype=np.float64).reshape(-1, 1)
-        rows, n = self.probs.shape
-        if kind == "min":
-            return (-q).repeat(rows, axis=1)
-        ascending = self.ascending
-        first = np.empty((rows, n), dtype=bool)
-        first[:, 0] = True
-        np.not_equal(ascending[:, 1:], ascending[:, :-1], out=first[:, 1:])
-        # every closure of the block by its threshold, each row's largest first
-        row, start = first.nonzero()
-        passing = self.sized_scores(kind, row, n - start) <= q
-        return np.minimum.reduceat(np.where(passing, ascending[first], np.inf),
-                                   (start == 0).nonzero()[0], axis=1)
+        return _test_set_floors(kind, q_hats, self.probs.shape[0],
+                                lambda: (self.ascending, self.suffix))
 
     def required_hits(self, beta: float) -> np.ndarray:
         """Per row, required_hits(source_counts[r], beta), same float arithmetic."""
@@ -354,7 +403,7 @@ class RankedBlock:
 
 
 def block_rows(n_nodes: int) -> int:
-    """Rows per RankedBlock, so that its prefix sums fit the budget."""
+    """Rows per RankedBlock, so that its suffix sums fit the budget."""
     return max(1, _SCORE_BLOCK_BYTES // (np.dtype(np.float64).itemsize * n_nodes))
 
 
@@ -449,8 +498,10 @@ def finite_sample_quantile(values, alpha: float) -> float:
     """Rank-ceil((1-alpha)(n+1)) smallest value; +inf when the rank overflows n.
 
     An infinite threshold makes the prediction set the full node set, which
-    is the correct answer when n is too small for level alpha.
+    is the correct answer when n is too small for level alpha. An alpha
+    outside (0, 1) is refused as NominalLevels refuses it.
     """
+    _check_alpha(alpha)
     arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError("need at least one calibration value")
@@ -489,29 +540,44 @@ def calibrate_blocks(blocks, kind: str, levels: NominalLevels) -> ConformalModel
 
 def predict(model: ConformalModel, probs) -> PredictionSet:
     """The largest upward closure whose score is within the calibrated
-    threshold (RankedBlock.test_set_floors), as nodes in index order.
+    threshold (RankedBlock.test_set_floors, read off the vector's sorted
+    view with no block built), as nodes in index order.
 
     Any set that holds every passing closure holds this one, and it is
     the brute-force oracle's set; it may be empty, and an infinite
     threshold returns all nodes.
     """
-    block = _ranked_row(probs)
-    floor = block.test_set_floors(model.score, model.q_hat)[0, 0]
-    return PredictionSet(nodes=(block.probs[0] >= floor).nonzero()[0],
-                         threshold_used=model.q_hat)
+    probs = _check_probs(probs)
+    floor = _test_set_floors(model.score, model.q_hat, 1, lambda: _sorted_view(probs))[0, 0]
+    return PredictionSet(nodes=(probs >= floor).nonzero()[0], threshold_used=model.q_hat)
+
+
+def _as_set(nodes) -> np.ndarray:
+    """The distinct int64 entries of `nodes`, ascending; a strictly
+    increasing 1-D array already is that, and is not sorted again."""
+    arr = np.asarray(nodes, dtype=np.int64)
+    if arr.ndim == 1 and (arr[1:] > arr[:-1]).all():
+        return arr
+    return np.unique(arr)
 
 
 def evaluate_set(nodes, true_sources, beta: float) -> SetMetrics:
     """Precision/recall of a predicted set, plus the recall >= 1-beta flag.
 
     The flag compares integer hit counts so exact boundaries (e.g. 7 of 10
-    at beta = 0.3) are decided correctly.
+    at beta = 0.3) are decided correctly. Both arguments count as sets:
+    duplicates count once. A strictly increasing 1-D argument, as predict's
+    nodes and a dataset's sources are, is read as it is, with no sort.
     """
-    y = np.unique(np.asarray(true_sources, dtype=np.int64))
+    y = _as_set(true_sources)
     if y.size == 0:
         raise ValueError("true source set must be non-empty")
-    pred = np.unique(np.asarray(nodes, dtype=np.int64))
-    hits = int(np.intersect1d(pred, y, assume_unique=True).size)
+    pred = _as_set(nodes)
+    if pred.size:
+        # where each source would sit in the set, and whether it is there
+        hits = int(np.count_nonzero(pred.take(pred.searchsorted(y), mode="clip") == y))
+    else:
+        hits = 0
     precision = hits / pred.size if pred.size else 0.0
     recall = hits / y.size
     included = hits >= required_hits(y.size, beta)
@@ -665,8 +731,10 @@ def run_equivalence_checks(n_nodes: int, trials: int, seed: int) -> EquivalenceR
 
     Per trial: (i) the brute-force subset-enumeration set must equal
     predict's set for all score kinds, on both a uniform-random and a
-    calibration-derived threshold; (ii) the risk-control pipeline must equal
-    the min-score pipeline, with thresholds related by lambda = 1 + q.
+    calibration-derived threshold, and so must each row's set read off one
+    RankedBlock of the test vector and up to three calibration vectors;
+    (ii) the risk-control pipeline must equal the min-score pipeline, with
+    thresholds related by lambda = 1 + q.
     """
     if not 1 <= n_nodes <= BRUTEFORCE_MAX_NODES:
         raise ValueError(f"n_nodes must be in [1, {BRUTEFORCE_MAX_NODES}], got {n_nodes!r}")
@@ -681,14 +749,19 @@ def run_equivalence_checks(n_nodes: int, trials: int, seed: int) -> EquivalenceR
         levels = NominalLevels(alpha=float(rng.choice(_CHECK_ALPHAS)),
                                beta=float(rng.choice(_CHECK_BETAS)))
         cal = _random_calibration(rng, n_nodes, int(rng.integers(3, 40)))
+        block = RankedBlock(np.array([probs] + [p for p, _ in cal[:3]]))
         for kind in SCORE_KINDS:
             model = calibrate(cal, kind, levels)
             thresholds = [model.q_hat, float(rng.uniform(-1.2, 1.2))]
-            for q in thresholds:
+            for q, floors in zip(thresholds, block.test_set_floors(kind, thresholds)):
                 fast = predict(ConformalModel(kind, levels, q, model.n_cal), probs)
                 brute = bruteforce_prediction_set(probs, q, kind)
                 if not np.array_equal(fast.nodes, brute):
                     bf_bad += 1
+                for r, (row, floor) in enumerate(zip(block.probs, floors)):
+                    row_brute = brute if r == 0 else bruteforce_prediction_set(row, q, kind)
+                    if not np.array_equal(np.flatnonzero(row >= floor), row_brute):
+                        bf_bad += 1
         min_model = calibrate(cal, "min", levels)
         lam = crc_calibrate(cal, levels)
         if math.isinf(min_model.q_hat) or math.isinf(lam):

@@ -2,9 +2,10 @@
 
 Expected values marked "by direct evaluation" were computed by hand from the
 score definitions on tiny vectors; independent numeric cross-checks use plain
-numpy reductions instead of the canonical prefix path.
+numpy reductions instead of the canonical ranked view.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from sourceset.conformal import (
     SCORE_KINDS,
     ConformalModel,
     NominalLevels,
+    SetMetrics,
     bruteforce_prediction_set,
     calibrate,
     crc_calibrate,
@@ -34,12 +36,13 @@ from sourceset.conformal import (
     upward_closure,
 )
 from sourceset.diffusion import GenerativeConfig
+from sourceset.estimators import PROB_FLOOR
 from sourceset.experiment import ExperimentConfig, run_experiment
 from sourceset.util import substream
 
 
 def direct_score(kind, probs, members):
-    """Plain-numpy score evaluation, independent of the prefix machinery."""
+    """Plain-numpy score evaluation, independent of the ranked view."""
     thr = probs[np.asarray(members)].min()
     closure = probs[probs >= thr]
     if kind == "pre":
@@ -52,7 +55,7 @@ def direct_score(kind, probs, members):
 def reference_set_score(kind, probs, members):
     """set_score from the definitions, bit for bit: the upward closure's
     probabilities in descending order, summed one after another in float64
-    as the prefix sums are, with -0.0 read as 0.0."""
+    as the suffix sums are, with -0.0 read as 0.0."""
     probs = np.asarray(probs, dtype=np.float64) + 0.0
     closure = np.sort(probs[upward_closure(probs, members)])[::-1]
     if kind == "min":
@@ -259,6 +262,23 @@ class TestFiniteSampleQuantile:
         with pytest.raises(ValueError):
             finite_sample_quantile(np.array([]), 0.1)
 
+    @pytest.mark.parametrize("alpha, message", [
+        (1.5, r"alpha must be in \(0, 1\), got 1.5"),
+        (0, r"alpha must be in \(0, 1\), got 0"),
+        (1.0, r"alpha must be in \(0, 1\), got 1.0"),
+        (-0.5, r"alpha must be in \(0, 1\), got -0.5"),
+        (float("nan"), r"alpha must be in \(0, 1\), got nan"),
+        (True, "alpha must be a number, got True"),
+        ("0.1", "alpha must be a number, got '0.1'"),
+    ])
+    def test_alpha_outside_unit_interval_rejected(self, alpha, message):
+        """The levels NominalLevels refuses, with its message: 1.5 returned the
+        minimum, 0 and -0.5 +inf, and NaN failed in an int conversion."""
+        with pytest.raises(ValueError, match=message):
+            finite_sample_quantile(np.arange(1, 10), alpha)
+        with pytest.raises(ValueError, match=message):
+            NominalLevels(alpha=alpha)
+
 
 class TestCalibratePredict:
     def make_samples(self, rng, n_nodes, n_samples, max_sources=None):
@@ -438,12 +458,13 @@ class TestRankedBlock:
         assert scores.tolist() == [-0.5, -0.5, -0.2, -0.1]
         # the tied pair {1, 2} closes together: nodes 0-3 have closures of
         # 3, 2, 2 and 4 nodes, read along the order [1, 2, 0, 3]
-        prefix = block.prefix[0]
-        assert prefix.tolist() == [0.0, 0.5, 1.0, 1.2, 1.3]
+        # suffix[j] sums ascending[j:], so a closure of k nodes reads suffix[4 - k]
+        suffix = block.suffix[0]
+        assert suffix.tolist() == [1.3, 1.2, 1.0, 0.5]
         assert singleton_scores("rec", probs)[1].tolist() == \
-            (prefix[[2, 2, 3, 4]] / prefix[4]).tolist()
+            (suffix[[2, 2, 1, 0]] / suffix[0]).tolist()
         assert singleton_scores("pre", probs)[1].tolist() == \
-            (-(prefix[[2, 2, 3, 4]] / [2, 2, 3, 4])).tolist()
+            (-(suffix[[2, 2, 1, 0]] / [2, 2, 3, 4])).tolist()
         # closures of 2, 3 and 4 nodes score -0.5, -0.39999999999999997 and
         # -0.325; no closure has one node
         floors = block.test_set_floors("pre", [-0.6, -0.5, -0.45, -0.35, -0.3])
@@ -521,7 +542,7 @@ class TestRankedBlock:
         # a source at -0.0 as the threshold scores -0.0, as the sorted 0.0 does
         assert bits(set_score("min", rows[0][0], [1])) == bits(-0.0)
 
-    def test_prefix_total_within_float64_bound(self):
+    def test_suffix_total_within_float64_bound(self):
         """A row total summed in sequence in float64 is within (N - 1) * eps
         of the correctly rounded sum, relatively."""
         n = 20_000
@@ -529,9 +550,9 @@ class TestRankedBlock:
         # values spread over many binades, so additions round
         probs = rng.random((4, n)) ** 8
         block = conformal.RankedBlock(probs)
-        assert block.prefix.dtype == np.float64
+        assert block.suffix.dtype == np.float64
         bound = (n - 1) * np.finfo(np.float64).eps
-        for row, total in zip(probs, block.prefix[:, -1]):
+        for row, total in zip(probs, block.suffix[:, 0]):
             exact = math.fsum(row)
             assert abs(total - exact) <= bound * exact
 
@@ -684,6 +705,44 @@ class TestEvaluateSet:
         assert m.recall == 0.0
         assert not m.included
 
+    @staticmethod
+    def reference(nodes, true_sources, beta):
+        """Both arguments deduplicated and sorted, then intersected."""
+        y = np.unique(np.asarray(true_sources, dtype=np.int64))
+        pred = np.unique(np.asarray(nodes, dtype=np.int64))
+        hits = int(np.intersect1d(pred, y, assume_unique=True).size)
+        return SetMetrics(precision=hits / pred.size if pred.size else 0.0,
+                          recall=hits / y.size,
+                          included=hits >= required_hits(y.size, beta))
+
+    @staticmethod
+    def forms(rng, nodes):
+        """A set as sorted, shuffled, duplicated, list and 2-D inputs."""
+        shuffled = rng.permutation(nodes)
+        doubled = np.concatenate([nodes, nodes[: (nodes.size + 1) // 2]])
+        out = [nodes, shuffled, doubled, np.sort(doubled), nodes.tolist(),
+               shuffled.tolist(), nodes[::-1]]
+        if nodes.size % 2 == 0:
+            out += [nodes.reshape(2, -1), shuffled.reshape(-1, 2)]
+        return out
+
+    def test_matches_sorting_every_argument(self):
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            n = int(rng.integers(1, 40))
+            pred = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+            y = random_set(rng, n)
+            for nodes in self.forms(rng, pred):
+                for sources in self.forms(rng, y):
+                    for beta in (0.0, 0.3, 0.5):
+                        assert evaluate_set(nodes, sources, beta) == \
+                            self.reference(nodes, sources, beta)
+        for nodes in ([], np.array([], dtype=np.int64), [[]], [3], [3, 3]):
+            assert evaluate_set(nodes, [1, 3], 0.5) == self.reference(nodes, [1, 3], 0.5)
+        for empty in ([], [[]], np.array([], dtype=np.int64)):
+            with pytest.raises(ValueError, match="true source set must be non-empty"):
+                evaluate_set([1, 2], empty, 0.0)
+
 
 class TestBruteforceEquivalence:
     def test_single_node(self):
@@ -813,6 +872,65 @@ class TestLargestPassingClosure:
         if n == ULP_RISE.size:
             # comparing singleton scores node by node misses some of these sets
             assert differs > 0
+
+
+class TestFlatSortedView:
+    """A block reads every closure of all its rows off one flat sorted view:
+    tie runs found by flat position with each row's start forced, sizes and
+    masses from the suffix sums aligned to the ascending values."""
+
+    N = 9
+    ROWS = [
+        np.full(N, 0.5),  # a single run of ties
+        np.linspace(0.5, 0.9, N),  # all distinct; its smallest ties the row above
+        np.array([0.0, -0.0, 0.25, -0.0, 0.0, 0.9, 0.25, 0.0, 0.5]),  # zeros of both signs
+        np.array([PROB_FLOOR] * 6 + [0.5, PROB_FLOOR, 0.9]),  # heuristic-like, floored
+    ]
+
+    @classmethod
+    def blocks(cls):
+        """Every order of the four rows, and each row twice in a row, so that
+        a row's largest value meets the next row's smallest."""
+        for order in itertools.permutations(range(len(cls.ROWS))):
+            yield order, conformal.RankedBlock(np.array([cls.ROWS[r] for r in order]))
+        for r in range(len(cls.ROWS)):
+            yield (r, r), conformal.RankedBlock(np.array([cls.ROWS[r]] * 2))
+
+    def test_floors_match_bruteforce_per_row(self):
+        for kind in ("pre", "rec"):
+            scores = np.unique([set_score(kind, row, [v])
+                                for row in self.ROWS for v in range(self.N)])
+            # every closure score, both floats next to each, +inf and below all
+            q_hats = np.concatenate([scores, np.nextafter(scores, -np.inf),
+                                     np.nextafter(scores, np.inf),
+                                     [np.inf, scores[0] - 1.0]])
+            brute = [[bruteforce_prediction_set(row, q, kind).tolist() for q in q_hats]
+                     for row in self.ROWS]
+            for order, block in self.blocks():
+                floors = block.test_set_floors(kind, q_hats)
+                assert floors.shape == (q_hats.size, len(order))
+                for i in range(q_hats.size):
+                    for k, (r, probs) in enumerate(zip(order, block.probs)):
+                        assert np.flatnonzero(probs >= floors[i, k]).tolist() == brute[r][i]
+
+    def test_suffix_is_a_sequential_sum_from_the_largest_down(self):
+        rng = np.random.default_rng(62)
+        blocks = [block for _, block in self.blocks()]
+        # values over many binades, so that additions round
+        blocks.append(conformal.RankedBlock(rng.random((5, 300)) ** 8))
+        for block in blocks:
+            for probs, ascending, suffix in zip(block.probs, block.ascending, block.suffix):
+                values = sorted((probs + 0.0).tolist())
+                assert ascending.tolist() == values
+                total, sums = 0.0, []
+                for value in reversed(values):
+                    total += value
+                    sums.append(total)
+                assert np.array_equal(bits(suffix), bits(sums[::-1]))
+
+    def test_source_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="3 source sets for 2 probability rows"):
+            conformal.RankedBlock(np.full((2, 4), 0.5), [np.array([0])] * 3)
 
 
 def reference_crc_calibrate(samples, levels):
