@@ -131,19 +131,6 @@ def _header_graph(config: dict, path: str):
                            seed=_header_field(config, path, "graph_seed", int, 0))
 
 
-def _ranked_estimates(spec: str, graph, samples, seed: int, with_sources: bool):
-    """(samples, RankedBlock) pairs in order, one per estimator block,
-    estimated and ranked as they are consumed; the block holds each
-    sample's source set when `with_sources`. A sample's estimator stream is
-    substream(seed, sample index). The estimator is built, and its spec
-    checked, at the call."""
-    blocks = estimate_blocks(build_estimator(spec, graph), samples,
-                             lambda sample: substream(seed, sample.index))
-    return ((block, conformal.RankedBlock(
-                probs, [s.sources for s in block] if with_sources else None))
-            for block, probs in blocks)
-
-
 @cli.command()
 @click.option("--data", "data_path", required=True, type=click.Path())
 @click.option("--score", type=click.Choice(conformal.SCORE_KINDS), required=True)
@@ -164,8 +151,10 @@ def calibrate(data_path, score, alpha, beta, estimator_spec, seed, out_path):
     graph = _header_graph(graph_config, data_path)
     _check_node_counts(samples, graph, graph_config["graph_spec"], data_path)
     levels = NominalLevels(alpha=alpha, beta=beta)
-    # estimated and ranked block by block as calibration consumes them
-    blocks = _ranked_estimates(estimator_spec, graph, samples, seed, with_sources=True)
+    # estimated and ranked block by block as calibration consumes them; a
+    # sample's estimator stream is substream(seed, sample index)
+    blocks = estimate_blocks(build_estimator(estimator_spec, graph), samples,
+                             lambda sample: substream(seed, sample.index))
     model = conformal.calibrate_blocks((ranked for _, ranked in blocks), score, levels)
     config = {"estimator": estimator_spec, "estimator_seed": seed,
               "data": str(data_path), **graph_config}
@@ -194,7 +183,8 @@ def predict(model_path, data_path, out_path):
     graph = _header_graph(model_config, model_path)
     _check_node_counts(samples, graph, model_config["graph_spec"], data_path)
     est_seed = _header_field(model_config, model_path, "estimator_seed", int, 0)
-    blocks = _ranked_estimates(estimator_spec, graph, samples, est_seed, with_sources=False)
+    blocks = estimate_blocks(build_estimator(estimator_spec, graph), samples,
+                             lambda sample: substream(est_seed, sample.index))
     config = {"model": str(model_path), "data": str(data_path),
               "score": model.score, "alpha": model.levels.alpha,
               "beta": model.levels.beta, "model_config": model_config}

@@ -32,12 +32,18 @@ closure of every row is found by the flat position of its threshold, the
 first value of a run of ties, and scored from the suffix sum there, never
 node by node: a float mean can rise by an ulp as a closure grows, so the
 nodes whose own closure passes need not form a closure, while the largest
-passing closure is the brute-force oracle's set in floats. Calibration,
-risk control, the experiment loop and the CLI's calibrate and predict rank
-blocks of samples and read every source-set and test-set decision off them;
-set_score, singleton_scores and the brute-force oracle rank a one-row
-block, and library predict sorts its one vector into the same view with no
-block built. A block's rows are capped so that its suffix sums fit
+passing closure is the brute-force oracle's set in floats. Blocks with
+source sets are made in two places: `ranked_blocks` over (vector, source
+set) pairs, and `estimators.estimate_blocks` over an estimator's samples,
+which the experiment and the CLI's calibrate and predict read every
+decision off.
+One calibration loop, `calibration_scores`, scores every row of a block
+stream for a list of (kind, beta) cells; `calibrate` and `calibrate_blocks`
+read one cell off it, the experiment every cell of a trial, and risk
+control reads the same blocks' source thresholds. set_score,
+singleton_scores and the brute-force oracle rank a one-row block with no
+source set, and library predict sorts its one vector into the same view
+with no block built. A block's rows are capped so that its suffix sums fit
 `_SCORE_BLOCK_BYTES`. Scores depend only on values, never on how ties are
 ordered (-0.0 is read as 0.0, the one tie whose members differ in bits),
 and every row is summed in sequence in float64, so a row of a block and the
@@ -59,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sourceset.util import check_node_set, substream, write_jsonl_header, read_jsonl
+from sourceset.util import check_node_set, node_ids, substream, write_jsonl_header, read_jsonl
 
 SCORE_KINDS = ("pre", "rec", "min")
 
@@ -291,12 +297,14 @@ class RankedBlock:
     in any block. Scores need only values, never positions.
 
     Built from a (rows, N) float64 array, which the block only reads and
-    checks to lie in [0, 1], and, for its source-set methods, one int64
-    node-id array per row; ranked_blocks builds blocks of samples, the
-    experiment one block per estimator block, and _ranked_row a block of one
-    vector. Source sets are checked with the messages of check_node_set and
-    stored deduplicated and sorted by (row, node) in `source_rows` and
-    `source_nodes`, with `source_counts[r]` distinct sources in row r.
+    checks to lie in [0, 1], and, for its source-set methods, one node-id
+    array per row; ranked_blocks builds blocks of (vector, source set)
+    pairs, estimators.estimate_blocks one block per estimator block, and
+    _ranked_row a block of one vector with no source set. Source sets are
+    checked with the messages of util.node_ids and check_node_set, once per
+    block when they share a dtype, and stored deduplicated and sorted by
+    (row, node) in `source_rows` and `source_nodes`, with `source_counts[r]`
+    distinct sources in row r.
     """
 
     def __init__(self, probs: np.ndarray, sources: list[np.ndarray] | None = None):
@@ -309,7 +317,10 @@ class RankedBlock:
             return
         if len(sources) != rows:
             raise ValueError(f"{len(sources)} source sets for {rows} probability rows")
-        nodes = np.concatenate(sources)
+        try:  # one dtype, the usual case: one check for the whole block
+            nodes = node_ids(np.concatenate(sources, casting="no"))
+        except TypeError:  # mixed dtypes: set by set, so no bool set is cast to 0/1
+            nodes = np.concatenate([node_ids(s) for s in sources])
         # before the keys are packed, so no id can alias a node of another row
         if nodes.size and (nodes.min() < 0 or nodes.max() >= n):
             raise ValueError("node index out of range")
@@ -423,7 +434,7 @@ def ranked_blocks(samples):
         if not sources:
             block = np.empty((block_rows(p.size), p.size))
         block[len(sources)] = p
-        sources.append(np.asarray(y, dtype=np.int64).ravel())
+        sources.append(np.asarray(y).ravel())
     if sources:
         yield RankedBlock(block[:len(sources)], sources)
 
@@ -450,11 +461,9 @@ def shrink_set(probs, members, beta: float) -> np.ndarray:
     return np.sort(members[order[:keep]])
 
 
-def _ranked_row(probs, members=None) -> RankedBlock:
-    """A one-row RankedBlock of a probability vector, with the source set
-    `members` when one is given."""
-    sources = None if members is None else [np.asarray(members, dtype=np.int64).ravel()]
-    return RankedBlock(_as_vector(probs)[None, :], sources)
+def _ranked_row(probs) -> RankedBlock:
+    """A one-row RankedBlock of a probability vector, with no source set."""
+    return RankedBlock(_as_vector(probs)[None, :])
 
 
 def set_score(kind: str, probs, members) -> float:
@@ -462,9 +471,12 @@ def set_score(kind: str, probs, members) -> float:
 
     Evaluated on the upward closure of `members`, so scoring a set and
     scoring its closure give bit-identical results, and enlarging the
-    closure can only increase the score.
+    closure can only increase the score. The closure's threshold is the
+    smallest member probability, the one shrunk_scores(kind, 0.0) reads.
     """
-    return float(_ranked_row(probs, members).shrunk_scores(kind, 0.0)[0])
+    row = _ranked_row(probs)
+    threshold = row.probs[:, check_node_set(members, row.probs.shape[1])].min(keepdims=True)
+    return float(row.threshold_scores(kind, threshold)[0, 0])
 
 
 def singleton_scores(kind: str, probs) -> tuple[np.ndarray, np.ndarray]:
@@ -525,17 +537,31 @@ def calibrate(samples, kind: str, levels: NominalLevels) -> ConformalModel:
 
 def calibrate_blocks(blocks, kind: str, levels: NominalLevels) -> ConformalModel:
     """`calibrate` on an iterable of RankedBlocks with source sets, one
-    calibration sample per row, consumed block by block. A caller that holds
-    its vectors as blocks already, as the CLI does with an estimator's, ranks
-    them as they are; the scores do not depend on how rows are blocked."""
-    if kind not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {kind!r}")
-    scores = [block.shrunk_scores(kind, levels.beta) for block in blocks]
-    if not scores:
-        raise ValueError("need at least one calibration sample")
-    scores = np.concatenate(scores)
+    calibration sample per row, as `estimators.estimate_blocks` yields them:
+    the one cell (kind, levels.beta) of `calibration_scores`."""
+    scores = calibration_scores(blocks, [(kind, levels.beta)])[kind, levels.beta]
     q_hat = finite_sample_quantile(scores, levels.alpha)
     return ConformalModel(score=kind, levels=levels, q_hat=q_hat, n_cal=scores.size)
+
+
+def calibration_scores(blocks, cells) -> dict[tuple[str, float], np.ndarray]:
+    """{(kind, beta): scores} for each cell of `cells`: every row's source
+    set of the RankedBlocks in `blocks`, shrunk by beta and scored with
+    kind, in row order.
+
+    The one calibration loop: `calibrate_blocks` reads one cell off it and
+    the experiment every (kind, beta) of a trial, each threshold then being
+    finite_sample_quantile of a cell's scores. Blocks are consumed one at a
+    time, and each block's ranking serves every cell; the scores do not
+    depend on how rows are blocked.
+    """
+    scores = {(kind, beta): [] for kind, beta in cells}
+    for block in blocks:
+        for (kind, beta), parts in scores.items():
+            parts.append(block.shrunk_scores(kind, beta))
+    if not all(scores.values()):
+        raise ValueError("need at least one calibration sample")
+    return {cell: np.concatenate(parts) for cell, parts in scores.items()}
 
 
 def predict(model: ConformalModel, probs) -> PredictionSet:
@@ -553,9 +579,9 @@ def predict(model: ConformalModel, probs) -> PredictionSet:
 
 
 def _as_set(nodes) -> np.ndarray:
-    """The distinct int64 entries of `nodes`, ascending; a strictly
-    increasing 1-D array already is that, and is not sorted again."""
-    arr = np.asarray(nodes, dtype=np.int64)
+    """The distinct node ids of `nodes` (util.node_ids), ascending; a
+    strictly increasing 1-D array already is that, and is not sorted again."""
+    arr = node_ids(nodes)
     if arr.ndim == 1 and (arr[1:] > arr[:-1]).all():
         return arr
     return np.unique(arr)

@@ -7,10 +7,11 @@ affects only how small the prediction sets are. A probability floor keeps
 every entry strictly positive, which keeps all score variants finite.
 
 `build_estimator` parses a spec into an `Estimator`, whose `batch` scores a
-block of samples; `estimate_blocks` feeds it a sequence block by block. Its
-blocks follow the ranking rule, `conformal.block_rows`, so the experiment
-and the CLI's calibrate and predict rank each estimator block as it is,
-with no list of per-sample rows. The heuristic's batch is
+block of samples. `estimate_blocks` is the one path from samples to ranked
+estimates: it cuts a sequence into blocks by the ranking rule,
+`conformal.block_rows`, and yields each with the `conformal.RankedBlock` of
+its `batch` rows and source sets. The experiment and the CLI's calibrate
+and predict read every decision off those blocks. The heuristic's batch is
 `estimate_heuristic_batch` over the block's stacked time-major (rows, m,
 n_nodes) snapshots, and `estimate_heuristic` is its batch of one, so a
 block row and the per-sample vector are the same bits. Its working memory
@@ -23,13 +24,14 @@ it once per row, and "heuristic" and "file:" draw nothing and never call it.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from sourceset.conformal import block_rows
+from sourceset.conformal import RankedBlock, block_rows
 from sourceset.diffusion import (SUSCEPTIBLE, LabeledSample, SirParams, SnapshotMatrix,
                                  simulate_cascades)
 from sourceset.graph import Graph
@@ -315,20 +317,19 @@ def build_estimator(spec: str, graph: Graph) -> Estimator:
 
 
 def estimate_blocks(estimator: Estimator, samples, rng_of):
-    """Probability vectors of `samples`, in order, block by block.
+    """The ranked estimates of `samples`, in order, block by block.
 
-    Yields (block, probs) pairs: `block` is a run of at most
+    Yields (block, ranked) pairs: `block` is a run of at most
     `conformal.block_rows(n_nodes)` consecutive samples of one window length,
-    the rows of one `RankedBlock`, and `probs` its `estimator.batch(block,
-    rng_of)` (rows, n_nodes) array. Only estimators that draw call `rng_of`,
-    once per row, so the others create no rng.
+    and `ranked` the `conformal.RankedBlock` of its `estimator.batch(block,
+    rng_of)` rows with each sample's source set. Only estimators that draw
+    call `rng_of`, once per row, so the others create no rng.
     """
-    block = []
-    for sample in samples:
-        if block and (len(block) == block_rows(block[0].x.n_nodes)
-                      or sample.x.n_snapshots != block[0].x.n_snapshots):
-            yield block, estimator.batch(block, rng_of)
-            block = []
-        block.append(sample)
-    if block:
-        yield block, estimator.batch(block, rng_of)
+    run = []
+    # the None after the last sample closes the last block
+    for sample in itertools.chain(samples, [None]):
+        if run and (sample is None or len(run) == block_rows(run[0].x.n_nodes)
+                    or sample.x.n_snapshots != run[0].x.n_snapshots):
+            yield run, RankedBlock(estimator.batch(run, rng_of), [s.sources for s in run])
+            run = []
+        run.append(sample)

@@ -6,6 +6,12 @@ construction), calibrates one threshold per (score, alpha, beta) cell, and
 evaluates inclusion (recall >= 1-beta) and set size on the test half. Results
 aggregate over trials with mean and standard error.
 
+Both halves are estimated and ranked by `estimators.estimate_blocks`. The
+calibration blocks go once through `conformal.calibration_scores`, the one
+calibration loop, for every (score, beta), and a cell's threshold is the
+finite-sample quantile of its scores at its alpha; each test block reads
+the sets of all of a score's cells from one sort.
+
 Substream layout under the master seed:
     (0, trial, i)  dataset sample i of a trial
     (1, trial)     calibration/test split permutation
@@ -15,6 +21,7 @@ Substream layout under the master seed:
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -161,36 +168,28 @@ def _run_trial(graph: Graph, cfg: ExperimentConfig, estimator, lambda1: float | 
     kinds, alphas, betas = (tuple(dict.fromkeys(levels))
                             for levels in (cfg.score_kinds, cfg.alphas, cfg.betas))
 
-    def blocks(indices):
-        # each estimator block is ranked once and shared by every cell
-        for block, probs in estimate_blocks(
-                estimator, (samples[i] for i in indices),
-                lambda sample: substream(cfg.seed, _STREAM_EST, trial, sample.index)):
-            yield conformal.RankedBlock(probs, [s.sources for s in block])
+    def rng_of(sample):
+        return substream(cfg.seed, _STREAM_EST, trial, sample.index)
 
-    cal_scores: dict[tuple[str, float], list[np.ndarray]] = {
-        (kind, beta): [] for kind in kinds for beta in betas}
-    for block in blocks(perm[:cfg.n_cal]):
-        for kind, beta in cal_scores:
-            cal_scores[kind, beta].append(block.shrunk_scores(kind, beta))
-    q_hats = {(kind, alpha, beta): conformal.finite_sample_quantile(
-                  np.concatenate(cal_scores[kind, beta]), alpha)
+    cal = estimate_blocks(estimator, (samples[i] for i in perm[:cfg.n_cal]), rng_of)
+    scores = conformal.calibration_scores((ranked for _, ranked in cal),
+                                          [(kind, beta) for kind in kinds for beta in betas])
+    q_hats = {(kind, alpha, beta): conformal.finite_sample_quantile(scores[kind, beta], alpha)
               for kind in kinds for alpha in alphas for beta in betas}
 
     # a test set is its row's largest closure scoring <= q_hat, as in predict;
     # each block reads the sets of all of a kind's cells at once
-    included = dict.fromkeys(q_hats, 0)
-    total_size = dict.fromkeys(q_hats, 0)
-    for block in blocks(perm[cfg.n_cal:]):
+    sums = {cell: [0, 0] for cell in q_hats}  # included rows, total set size
+    for _, block in estimate_blocks(estimator, (samples[i] for i in perm[cfg.n_cal:]),
+                                    rng_of):
         for kind in kinds:
             cells = [cell for cell in q_hats if cell[0] == kind]
             floors = block.test_set_floors(kind, [q_hats[cell] for cell in cells])
             sizes = np.count_nonzero(block.probs >= floors[:, :, None], axis=(1, 2))
             for cell, size, floor in zip(cells, sizes, floors):
-                total_size[cell] += int(size)
-                included[cell] += int(np.count_nonzero(block.included(floor, cell[2])))
-    return {cell: (included[cell] / cfg.n_test, total_size[cell] / cfg.n_test)
-            for cell in q_hats}
+                sums[cell][0] += int(np.count_nonzero(block.included(floor, cell[2])))
+                sums[cell][1] += int(size)
+    return {cell: (inc / cfg.n_test, size / cfg.n_test) for cell, (inc, size) in sums.items()}
 
 
 def run_experiment(cfg: ExperimentConfig, graph: Graph | None = None) -> TrialReport:
@@ -213,13 +212,9 @@ def run_experiment(cfg: ExperimentConfig, graph: Graph | None = None) -> TrialRe
         runtimes.append(time.perf_counter() - t0)
 
     cells = []
-    for kind in cfg.score_kinds:
-        for alpha in cfg.alphas:
-            for beta in cfg.betas:
-                inc = np.asarray([o[(kind, alpha, beta)][0] for o in outcomes])
-                size = np.asarray([o[(kind, alpha, beta)][1] for o in outcomes])
-                cells.append(CellStats(score=kind, alpha=alpha, beta=beta,
-                                       inclusion_rates=inc, set_sizes=size))
+    for cell in itertools.product(cfg.score_kinds, cfg.alphas, cfg.betas):
+        inc, size = (np.asarray([o[cell][i] for o in outcomes]) for i in (0, 1))
+        cells.append(CellStats(*cell, inclusion_rates=inc, set_sizes=size))
     return TrialReport(config=cfg, cells=cells, trial_runtimes=runtimes,
                        total_runtime=time.perf_counter() - started)
 

@@ -29,10 +29,21 @@ def as_generator(seed) -> np.random.Generator:
     return substream(int(seed))
 
 
+def node_ids(nodes) -> np.ndarray:
+    """`nodes` as an int64 array. A float id must be a whole number, so 2.0
+    is node 2 but 1.5 is a ValueError naming the value, and so is a bool."""
+    arr = np.asarray(nodes)
+    if arr.dtype.kind in "bf":
+        bad = arr[(arr.dtype.kind == "b") | ~np.isfinite(arr) | (np.floor(arr) != arr)]
+        if bad.size:
+            raise ValueError(f"node ids must be whole numbers, got {bad[0].item()!r}")
+    return arr.astype(np.int64, copy=False)
+
+
 def check_node_set(nodes, n_nodes: int) -> np.ndarray:
     """Sorted distinct int64 ids of a non-empty node set of a graph with
     n_nodes nodes; raises ValueError otherwise."""
-    arr = np.unique(np.asarray(nodes, dtype=np.int64))
+    arr = np.unique(node_ids(nodes))
     if arr.size == 0:
         raise ValueError("node set must be non-empty")
     if arr.min() < 0 or arr.max() >= n_nodes:

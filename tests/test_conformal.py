@@ -35,10 +35,11 @@ from sourceset.conformal import (
     stable_ceil,
     upward_closure,
 )
-from sourceset.diffusion import GenerativeConfig
+from sourceset.diffusion import GenerativeConfig, SirParams, simulate
 from sourceset.estimators import PROB_FLOOR
 from sourceset.experiment import ExperimentConfig, run_experiment
-from sourceset.util import substream
+from sourceset.graph import complete_graph
+from sourceset.util import check_node_set, substream
 
 
 def direct_score(kind, probs, members):
@@ -931,6 +932,111 @@ class TestFlatSortedView:
     def test_source_count_must_match_rows(self):
         with pytest.raises(ValueError, match="3 source sets for 2 probability rows"):
             conformal.RankedBlock(np.full((2, 4), 0.5), [np.array([0])] * 3)
+
+
+class TestCalibrationScores:
+    """The one calibration loop scores every (kind, beta) cell of a block
+    stream as calibrate scores and thresholds that cell alone, bit for bit."""
+
+    N = 12
+    CELLS = [(kind, beta) for kind in SCORE_KINDS for beta in (0.0, 0.3, 0.7)]
+
+    def pairs(self):
+        """Tie-heavy, signed-zero and ulp-spaced rows in turn, with source
+        lists that repeat ids."""
+        rng = np.random.default_rng(73)
+        out = []
+        for i in range(60):
+            if i % 3 == 0:
+                probs = np.round(rng.random(self.N), 1) * 0.9 + 0.05
+            elif i % 3 == 1:
+                probs = rng.random(self.N)
+                probs[rng.random(self.N) < 0.3] = 0.0
+                probs[rng.random(self.N) < 0.3] = -0.0
+                probs[0] = 0.5  # 'rec' needs positive mass
+            else:
+                probs = 1.0 - EPS * rng.integers(1, 4, size=self.N)
+            out.append((probs, rng.integers(0, self.N, size=int(rng.integers(1, 15)))))
+        return out
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_every_cell_equals_calibrate(self, monkeypatch, rows):
+        pairs = self.pairs()
+        if rows is not None:
+            block_rows_budget(monkeypatch, rows, self.N)
+            assert conformal.block_rows(self.N) == rows
+        scores = conformal.calibration_scores(ranked_blocks(pairs), self.CELLS)
+        assert list(scores) == self.CELLS
+        for kind, beta in self.CELLS:
+            reference = [set_score(kind, p, shrink_set(p, y, beta)) for p, y in pairs]
+            assert np.array_equal(bits(scores[kind, beta]), bits(reference))
+            for alpha in (0.05, 0.2, 0.5):
+                model = calibrate(pairs, kind, NominalLevels(alpha=alpha, beta=beta))
+                q_hat = finite_sample_quantile(scores[kind, beta], alpha)
+                assert bits(q_hat) == bits(model.q_hat)
+                assert model.n_cal == len(pairs)
+
+    def test_repeated_cells_scored_once_and_bad_input_refused(self):
+        pairs = self.pairs()[:5]
+        scores = conformal.calibration_scores(ranked_blocks(pairs), [("pre", 0.3)] * 2)
+        assert list(scores) == [("pre", 0.3)]
+        with pytest.raises(ValueError, match="unknown score kind"):
+            conformal.calibration_scores(ranked_blocks(pairs), [("max", 0.3)])
+        with pytest.raises(ValueError, match="at least one calibration sample"):
+            conformal.calibration_scores(iter([]), [("pre", 0.3)])
+
+
+P5 = np.linspace(0.1, 0.9, 5)
+LEVELS_01 = NominalLevels(alpha=0.1)
+
+# every entry point that reads node ids, each returning something comparable
+NODE_ID_ENTRY_POINTS = {
+    "evaluate_set nodes": lambda ids: evaluate_set(ids, [1, 2], 0.0),
+    "evaluate_set sources": lambda ids: evaluate_set([1, 2], ids, 0.0),
+    "check_node_set": lambda ids: check_node_set(ids, 5).tolist(),
+    "upward_closure": lambda ids: upward_closure(P5, ids).tolist(),
+    "shrink_set": lambda ids: shrink_set(P5, ids, 0.0).tolist(),
+    "set_score": lambda ids: set_score("pre", P5, ids),
+    "simulate": lambda ids: simulate(complete_graph(5), SirParams(0.3, 0.1, horizon=3),
+                                     ids, 0).statuses.tolist(),
+    "calibrate": lambda ids: calibrate([(P5, ids)] * 5, "min", LEVELS_01),
+    "crc_calibrate": lambda ids: crc_calibrate([(P5, ids)] * 5, LEVELS_01),
+    "RankedBlock": lambda ids: conformal.RankedBlock(
+        P5[None], [np.asarray(ids).ravel()]).source_nodes.tolist(),
+    # a bool set among integer ones, which concatenate would cast to 0/1
+    "mixed block": lambda ids: calibrate([(P5, [3])] * 3 + [(P5, ids)], "min", LEVELS_01),
+}
+
+
+class TestNodeIds:
+    """Node ids must be whole numbers: a fractional float or a bool is
+    refused by every entry point, where a cast would truncate it."""
+
+    @pytest.mark.parametrize("entry", list(NODE_ID_ENTRY_POINTS))
+    @pytest.mark.parametrize("ids", [[1.5, 2.7], [1.7, 0.2], [1.9], np.array([True, False]),
+                                     [np.nan], [np.inf, 1.0]], ids=repr)
+    def test_refused(self, entry, ids):
+        with pytest.raises(ValueError, match="node ids must be whole numbers"):
+            NODE_ID_ENTRY_POINTS[entry](ids)
+
+    @pytest.mark.parametrize("entry", list(NODE_ID_ENTRY_POINTS))
+    def test_whole_floats_read_as_integers(self, entry):
+        fn = NODE_ID_ENTRY_POINTS[entry]
+        assert fn([1.0, 2.0]) == fn([1, 2])
+        assert fn(np.array([[2.0], [1.0]])) == fn(np.array([[2], [1]]))
+
+    def test_message_names_the_value(self):
+        with pytest.raises(ValueError, match="got 2.7"):
+            evaluate_set([2.0, 2.7], [1, 2], 0.0)
+        with pytest.raises(ValueError, match="got True"):
+            check_node_set(np.array([True]), 5)
+
+    def test_empty_inputs_as_before(self):
+        assert evaluate_set([], [1], 0.0) == SetMetrics(0.0, 0.0, False)
+        with pytest.raises(ValueError, match="node set must be non-empty"):
+            check_node_set([], 5)
+        with pytest.raises(ValueError, match="node set must be non-empty"):
+            calibrate([(P5, [])], "min", LEVELS_01)
 
 
 def reference_crc_calibrate(samples, levels):

@@ -408,10 +408,15 @@ class TestEstimateBlocks:
             [min(most, run - lo) for run in runs for lo in range(0, run, most)]
         assert [s for block, _ in blocks for s in block] == samples
         direct = self.direct(spec, g, table)
-        for block, probs in blocks:
-            assert probs.shape == (len(block), 30)
-            for s, row in zip(block, probs, strict=True):
+        for block, ranked in blocks:
+            assert ranked.probs.shape == (len(block), 30)
+            for s, row in zip(block, ranked.probs, strict=True):
                 assert np.array_equal(row, direct(s))
+            # each row's source set is its sample's
+            assert ranked.source_counts.tolist() == [s.sources.size for s in block]
+            for r, s in enumerate(block):
+                assert np.array_equal(ranked.source_nodes[ranked.source_rows == r],
+                                      s.sources)
         # only estimators that draw from it get a per-sample rng
         random = spec.startswith(("oracle:", "mc:"))
         assert created == ([s.index for s in samples] if random else [])
@@ -439,19 +444,19 @@ class TestEstimateBlocks:
         traced, traced_created = self.blocks(wrapped, samples)
         assert traced_created == plain_created
         assert [b for b, _ in traced] == [b for b, _ in plain]
-        assert np.array_equal(np.concatenate([p for _, p in traced]),
-                              np.concatenate([p for _, p in plain]))
+        assert np.array_equal(np.concatenate([r.probs for _, r in traced]),
+                              np.concatenate([r.probs for _, r in plain]))
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_block_size_changes_no_row(self, monkeypatch, rows):
         g = barabasi_albert_graph(30, 2, seed=3)
         samples = self.samples(g)
         heuristic = build_estimator("heuristic", g)
-        default = np.concatenate([p for _, p in self.blocks(heuristic, samples)[0]])
+        default = np.concatenate([r.probs for _, r in self.blocks(heuristic, samples)[0]])
         monkeypatch.setattr(conformal, "_SCORE_BLOCK_BYTES", rows * 8 * g.n_nodes)
         blocks, _ = self.blocks(heuristic, samples)
         assert max(len(block) for block, _ in blocks) == rows
-        assert np.array_equal(np.concatenate([p for _, p in blocks]), default)
+        assert np.array_equal(np.concatenate([r.probs for _, r in blocks]), default)
 
 
 class TestBuildEstimator:
